@@ -28,13 +28,16 @@
 // # Distributed execution
 //
 // internal/dist runs a World of N goroutine ranks joined in a ring by
-// per-edge channels: ring AllReduce, ReduceScatter, AllGather and a
-// pipelined Broadcast on []float32, zero-copy with a per-step
-// acknowledgement handshake, plus World.Subgroup communicators that
-// scope the same collectives to rank subsets (with their own rings, so
-// disjoint groups collect concurrently). train.PretrainDistributed
-// builds on it: seed-identical model replicas synchronized by a
-// parameter broadcast, a rank-sharded sampler that partitions exactly
+// per-edge channels: one collective API on dist.Group — ring
+// AllReduce, ReduceScatter, AllGather and a pipelined Broadcast on
+// []float32, each returning a Handle, plus synchronous Barrier and
+// AllReduceScalar — with the wire format an argument (nil: fp32,
+// zero-copy with a per-step acknowledgement handshake; a uint16
+// scratch: bf16). World.Group is the communicator over all ranks and
+// World.Subgroup communicators scope the same collectives to rank
+// subsets (with their own rings, so disjoint groups collect
+// concurrently). train.PretrainDistributed builds on it: seed-identical
+// model replicas synchronized by a parameter broadcast, a rank-sharded sampler that partitions exactly
 // the single-rank batch sequence, lock-step mask streams
 // (mae.DrawMasks), and the full Section III-C strategy matrix —
 // bucketed gradient all-reduce with a replicated AdamW (DDP/NO_SHARD),
@@ -56,19 +59,20 @@
 //
 // # Communication–computation overlap (executed)
 //
-// The async handle protocol (internal/dist): a rank launches a
-// collective with AllReduceAsync / ReduceScatterAsync / AllGatherAsync
-// (fp32, or the *BF16Async twins over the uint16 wire) and receives a
-// Handle; the ring machinery runs on a per-(rank, group) worker
-// goroutine fed by an issue queue, FIFO per group, while the rank
-// keeps computing. Handle.Wait blocks until that operation (and every
-// operation issued before it on the same group) has completed and
-// returns the reduce-scatter shard view; buffers handed to an async
-// call are owned by the collective until Wait. The ...After variants
-// order an operation behind a handle from another group's queue — how
-// HYBRID_SHARD chains a gradient bucket's replica-group all-reduce
-// behind its shard-group reduce-scatter. A peer rank's failure aborts
-// in-flight handles with dist.ErrAborted, re-raised by Wait.
+// The handle protocol (internal/dist): every ring collective is issued
+// onto a per-(rank, group) FIFO queue whose worker goroutine runs the
+// ring machinery, and returns a Handle while the rank keeps computing.
+// Handle.Wait blocks until that operation (and every operation issued
+// before it on the same group) has completed and returns the
+// reduce-scatter shard view; buffers handed to a collective are owned
+// by it until Wait. A blocking call is g.X(...).Wait() on the same
+// queue, so blocking and overlapped calls on one group are FIFO by
+// construction. AllReduce's after argument orders an operation behind
+// a handle from another group's queue — how HYBRID_SHARD chains a
+// gradient bucket's replica-group all-reduce behind its shard-group
+// reduce-scatter. Buffers are validated at issue, on the calling
+// goroutine; a peer rank's failure aborts in-flight handles with
+// dist.ErrAborted, re-raised by Wait.
 //
 // train.PretrainDistributed drives the protocol from the
 // layer-granular backward (mae.BackwardStepLayers /
@@ -108,8 +112,9 @@
 // exactly half the fp32 bytes. Reductions accumulate in fp32: each
 // ring hop widens the incoming bf16 chunk, adds it into the local
 // float32 partial, and re-rounds the chunk it forwards, so results are
-// deterministic and bit-identical on every rank
-// (dist.AllReduceBF16/ReduceScatterBF16/AllGatherBF16).
+// deterministic and bit-identical on every rank. The bf16 wire is the
+// same ring schedule as fp32 with a different chunk encoding: callers
+// pass a uint16 scratch as the collectives' wire argument.
 //
 // Master-weight layout: each rank's ShardedAdamW owns an fp32 master
 // copy plus fp32 Adam moments for its contiguous flat shard [lo, hi);

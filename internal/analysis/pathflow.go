@@ -28,7 +28,7 @@ import (
 
 // A pairSpec describes one acquire/release invariant.
 type pairSpec struct {
-	// resource names the tracked thing in messages ("dist async handle").
+	// resource names the tracked thing in messages ("dist collective handle").
 	resource string
 	// verb names the required release in messages ("Wait", "Recycle").
 	verb string
@@ -42,8 +42,8 @@ type pairSpec struct {
 	// receiver (v.Release()) or as argument (loader.Recycle(v)).
 	isRelease func(pass *Pass, call *ast.CallExpr, v *types.Var) bool
 	// argConsumes: passing the resource as an ordinary call argument
-	// transfers responsibility (true for async handles, whose ...After
-	// chaining takes the predecessor as an argument).
+	// transfers responsibility (true for collective handles, whose
+	// chained AllReduce takes the predecessor as its after argument).
 	argConsumes bool
 }
 

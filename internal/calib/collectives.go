@@ -89,15 +89,10 @@ func MeasureCollectives(ranks int, sizes []int, reps, windows int) ([]Collective
 		dtype  string
 		phases float64
 		bytes  float64 // payload bytes per element
-		run    func(r *dist.Rank, buf []float32, wire []uint16)
 	}
 	specs := []opSpec{
-		{"allreduce", "fp32", 2, 4, func(r *dist.Rank, buf []float32, _ []uint16) { r.AllReduce(buf) }},
-		{"reducescatter", "fp32", 1, 4, func(r *dist.Rank, buf []float32, _ []uint16) { r.ReduceScatter(buf) }},
-		{"allgather", "fp32", 1, 4, func(r *dist.Rank, buf []float32, _ []uint16) { r.AllGather(buf, nil) }},
-		{"allreduce", "bf16", 2, 2, func(r *dist.Rank, buf []float32, wire []uint16) { r.AllReduceBF16(buf, wire) }},
-		{"reducescatter", "bf16", 1, 2, func(r *dist.Rank, buf []float32, wire []uint16) { r.ReduceScatterBF16(buf, wire) }},
-		{"allgather", "bf16", 1, 2, func(r *dist.Rank, buf []float32, wire []uint16) { r.AllGatherBF16(buf, nil, wire) }},
+		{"allreduce", "fp32", 2, 4}, {"reducescatter", "fp32", 1, 4}, {"allgather", "fp32", 1, 4},
+		{"allreduce", "bf16", 2, 2}, {"reducescatter", "bf16", 1, 2}, {"allgather", "bf16", 1, 2},
 	}
 
 	// times[spec][size]: rank 0's best per-call seconds.
@@ -108,25 +103,40 @@ func MeasureCollectives(ranks int, sizes []int, reps, windows int) ([]Collective
 	maxSize := sizes[len(sizes)-1]
 
 	w := dist.New(ranks, dist.Options{Link: dist.DefaultLink(ranks)})
+	g := w.Group()
 	err := w.Run(func(r *dist.Rank) error {
 		buf := make([]float32, maxSize)
 		wire := make([]uint16, maxSize)
 		for i := range buf {
 			buf[i] = float32(r.ID() + i%7)
 		}
+		// call issues one blocking sp collective over size elements; the
+		// fp32 specs pass a nil wire.
+		call := func(sp opSpec, size int) {
+			b, wr := buf[:size], wire[:size]
+			if sp.dtype == "fp32" {
+				wr = nil
+			}
+			switch sp.op {
+			case "allreduce":
+				g.AllReduce(r, b, wr, nil).Wait()
+			case "reducescatter":
+				g.ReduceScatter(r, b, wr).Wait()
+			default:
+				g.AllGather(r, b, nil, wr).Wait()
+			}
+		}
 		for si, sp := range specs {
 			for zi, size := range sizes {
-				b := buf[:size]
-				wr := wire[:size]
-				sp.run(r, b, wr) // warm this op's path
+				call(sp, size) // warm this op's path
 				best := 0.0
 				for win := 0; win < windows; win++ {
-					r.Barrier()
+					g.Barrier(r)
 					t0 := time.Now()
 					for i := 0; i < reps; i++ {
-						sp.run(r, b, wr)
+						call(sp, size)
 					}
-					r.Barrier()
+					g.Barrier(r)
 					if r.ID() == 0 {
 						//statgate:allow floateq — 0 is the explicit unset sentinel; best only ever holds stored measurements
 						if el := time.Since(t0).Seconds() / float64(reps); best == 0 || el < best {

@@ -6,45 +6,51 @@ import (
 	"sync/atomic"
 )
 
-// Asynchronous collective handles: the executed analog of launching a
+// Issue queues and handles: the executed analog of launching a
 // collective on a side communication stream and synchronizing on its
-// completion event later. A rank issues a collective and keeps
-// computing; the ring machinery runs on a per-(rank, group) worker
-// goroutine fed by an issue queue, and Wait blocks until the operation
-// — and every operation issued before it on the same group — has
-// completed. This is the mechanism the overlapped training path
-// (train.PretrainDistributed with Overlap) uses to hide gradient
-// reductions behind the remaining backward compute, exactly as FSDP
-// overlaps per-unit reduce-scatters on Frontier.
+// completion event later. Every ring collective is issued: the calling
+// rank's goroutine validates the buffers, counts the entry against the
+// fault plan and enqueues the operation on its per-(rank, group) FIFO
+// queue, whose worker goroutine runs the ring machinery. Wait blocks
+// until the operation — and every operation issued before it on the
+// same group — has completed. A blocking collective is the issue
+// followed immediately by Wait; the overlapped training path
+// (train.PretrainDistributed with Overlap) instead keeps computing and
+// Waits later, hiding gradient reductions behind the remaining
+// backward compute, exactly as FSDP overlaps per-unit reduce-scatters
+// on Frontier.
 //
 // # Protocol
 //
-//	h := grp.ReduceScatterAsync(rank, bucket)
+//	h := grp.ReduceScatter(rank, bucket, wire)
 //	... keep computing on other buffers ...
 //	shard := h.Wait()
+//
+//	grp.AllGather(rank, params, nil, wire).Wait() // blocking
 //
 // Rules, mirroring a CUDA/RCCL side stream:
 //
 //   - Issue order is execution order. Operations issued by one rank on
-//     one group run strictly FIFO; every member of the group must issue
-//     the same operations in the same order (the usual SPMD collective
-//     contract, now per queue).
-//   - The buffers handed to an async call (buf, shard, wire) are owned
-//     by the collective until Wait returns. Reading or writing them
-//     earlier is a data race.
-//   - Synchronous collectives on the same group must not run while an
-//     async operation on it is still in flight — Wait everything first.
-//     Collectives on *other* groups (and scalar/barrier traffic, which
-//     uses a separate slot table) are unaffected.
-//   - The ...After variants order an operation behind a handle from a
-//     *different* group's queue — how HYBRID_SHARD chains each
-//     gradient bucket's replica-group all-reduce behind its
-//     shard-group reduce-scatter without serializing the two queues.
+//     one group run strictly FIFO — blocking and overlapped calls
+//     alike, since both go through the one queue; every member of the
+//     group must issue the same operations in the same order (the
+//     usual SPMD collective contract, now per queue).
+//   - The buffers handed to a collective (buf, shard, wire) are owned
+//     by it until Wait returns. Reading or writing them earlier is a
+//     data race.
+//   - Queues of different groups run concurrently. AllReduce's after
+//     argument orders an operation behind a handle from a *different*
+//     group's queue — how HYBRID_SHARD chains each gradient bucket's
+//     replica-group all-reduce behind its shard-group reduce-scatter
+//     without serializing the two queues.
+//   - Barrier and AllReduceScalar do not use the queue: they run on
+//     the calling goroutine over a separate slot table, unaffected by
+//     ring work in flight.
 //
-// Determinism: the worker executes the identical ring algorithms as
-// the synchronous calls, in the identical order, so an overlapped
-// schedule produces bit-for-bit the same buffers and the same
-// measured/modeled byte accounting as its synchronous twin.
+// Determinism: the worker executes the ring algorithms in issue order
+// regardless of when the caller Waits, so an overlapped schedule
+// produces bit-for-bit the same buffers and the same measured/modeled
+// byte accounting as its blocking twin.
 //
 // A rank that returns from World.Run with operations still queued —
 // a protocol violation, since Wait-ing every handle implies an empty
@@ -54,7 +60,7 @@ import (
 // rank failing while an operation is parked in the ring unblocks it
 // with ErrAborted, re-raised by Wait.
 
-// Handle is one in-flight asynchronous collective.
+// Handle is one issued ring collective.
 type Handle struct {
 	done  chan struct{}
 	shard []float32 // result view (reduce-scatter), nil otherwise
@@ -62,10 +68,9 @@ type Handle struct {
 }
 
 // Wait blocks until the collective completes and returns its result
-// view: the caller's fully reduced shard for reduce-scatter variants,
-// nil for all-reduce/all-gather. If the world aborted (a peer rank
-// died) Wait re-raises ErrAborted, which World.Run recovers like any
-// collective abort.
+// view: the caller's fully reduced shard for ReduceScatter, nil
+// otherwise. If the world aborted (a peer rank died) Wait re-raises
+// ErrAborted, which World.Run recovers like any collective abort.
 func (h *Handle) Wait() []float32 {
 	<-h.done
 	if h.err != nil {
@@ -182,96 +187,11 @@ func (q *asyncQueue) exec(w *World, op asyncOp) {
 	op.h.shard = op.run()
 }
 
-// issue validates membership eagerly (on the issuing goroutine, so a
-// non-member fails fast), counts the collective entry against the
-// issuing rank's fault sequence, and enqueues the operation.
-func (g *Group) issue(r *Rank, dep *Handle, op Op, run func(m member) []float32) *Handle {
-	m := g.on(r).enter(op)
+// issue enqueues one collective on the member's queue for its group.
+// The caller has already counted the entry (enter) and validated the
+// buffers on the issuing goroutine.
+func (m member) issue(after *Handle, run func() []float32) *Handle {
 	h := &Handle{done: make(chan struct{})}
-	r.queue(g).ops <- asyncOp{h: h, dep: dep, run: func() []float32 { return run(m) }}
+	m.r.queue(m.g).ops <- asyncOp{h: h, dep: after, run: run}
 	return h
-}
-
-// AllReduceAsync launches the group all-reduce of buf asynchronously;
-// Wait returns nil and buf holds the identical full result on every
-// member. len(buf) must be a multiple of the group size.
-func (g *Group) AllReduceAsync(r *Rank, buf []float32) *Handle {
-	return g.issue(r, nil, OpAllReduce, func(m member) []float32 { m.allReduce(buf); return nil })
-}
-
-// AllReduceAsyncAfter is AllReduceAsync ordered behind after (a handle
-// from another group's queue): the operation executes only once after
-// completes. Used by HYBRID_SHARD to chain a bucket's replica-group
-// all-reduce behind its shard-group reduce-scatter.
-func (g *Group) AllReduceAsyncAfter(r *Rank, buf []float32, after *Handle) *Handle {
-	return g.issue(r, after, OpAllReduce, func(m member) []float32 { m.allReduce(buf); return nil })
-}
-
-// ReduceScatterAsync launches the group reduce-scatter of buf
-// asynchronously; Wait returns the caller's fully reduced shard (chunk
-// RankOf(r) of buf). The other chunks are garbage after completion.
-func (g *Group) ReduceScatterAsync(r *Rank, buf []float32) *Handle {
-	return g.issue(r, nil, OpReduceScatter, func(m member) []float32 {
-		return m.reduceScatter(buf, OpReduceScatter, true)
-	})
-}
-
-// AllGatherAsync launches the group all-gather of buf asynchronously
-// (shard semantics as AllGather); Wait returns nil.
-func (g *Group) AllGatherAsync(r *Rank, buf, shard []float32) *Handle {
-	return g.issue(r, nil, OpAllGather, func(m member) []float32 {
-		m.allGatherOp(buf, shard, OpAllGather, true)
-		return nil
-	})
-}
-
-// AllReduceBF16Async is AllReduceAsync over the bf16 wire (payloads at
-// 2 bytes per element, fp32 ring accumulation; see AllReduceBF16).
-// wire is uint16 scratch with len(wire) == len(buf), owned by the
-// collective until Wait.
-func (g *Group) AllReduceBF16Async(r *Rank, buf []float32, wire []uint16) *Handle {
-	return g.issue(r, nil, OpAllReduce, func(m member) []float32 { m.allReduceBF16(buf, wire); return nil })
-}
-
-// AllReduceBF16AsyncAfter is AllReduceBF16Async ordered behind a
-// handle from another group's queue.
-func (g *Group) AllReduceBF16AsyncAfter(r *Rank, buf []float32, wire []uint16, after *Handle) *Handle {
-	return g.issue(r, after, OpAllReduce, func(m member) []float32 { m.allReduceBF16(buf, wire); return nil })
-}
-
-// ReduceScatterBF16Async is ReduceScatterAsync over the bf16 wire;
-// Wait returns the caller's fp32-accumulated shard.
-func (g *Group) ReduceScatterBF16Async(r *Rank, buf []float32, wire []uint16) *Handle {
-	return g.issue(r, nil, OpReduceScatter, func(m member) []float32 {
-		return m.reduceScatterBF16(buf, wire, OpReduceScatter, true)
-	})
-}
-
-// AllGatherBF16Async is AllGatherAsync over the bf16 wire (every
-// contribution rounded to bf16 before travelling; see AllGatherBF16).
-func (g *Group) AllGatherBF16Async(r *Rank, buf, shard []float32, wire []uint16) *Handle {
-	return g.issue(r, nil, OpAllGather, func(m member) []float32 {
-		m.allGatherBF16(buf, shard, wire, OpAllGather, true)
-		return nil
-	})
-}
-
-// AllReduceAsync launches the world-group all-reduce asynchronously.
-func (r *Rank) AllReduceAsync(buf []float32) *Handle { return r.w.root.AllReduceAsync(r, buf) }
-
-// ReduceScatterAsync launches the world-group reduce-scatter
-// asynchronously.
-func (r *Rank) ReduceScatterAsync(buf []float32) *Handle {
-	return r.w.root.ReduceScatterAsync(r, buf)
-}
-
-// AllGatherAsync launches the world-group all-gather asynchronously.
-func (r *Rank) AllGatherAsync(buf, shard []float32) *Handle {
-	return r.w.root.AllGatherAsync(r, buf, shard)
-}
-
-// AllReduceBF16Async launches the world-group bf16 all-reduce
-// asynchronously.
-func (r *Rank) AllReduceBF16Async(buf []float32, wire []uint16) *Handle {
-	return r.w.root.AllReduceBF16Async(r, buf, wire)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,9 +12,10 @@ import (
 	"repro/internal/rng"
 )
 
-// TestAsyncAllReduceMatchesSyncBitwise: a bucketed async all-reduce
-// schedule (issue everything, wait at the end) must leave every rank
-// with bit-for-bit the buffers of the synchronous bucket loop, and the
+// TestAsyncAllReduceMatchesSyncBitwise: a bucketed overlapped
+// all-reduce schedule (issue everything, wait at the end) must leave
+// every rank with bit-for-bit the buffers of the blocking bucket loop,
+// and the
 // measured byte accounting must be identical — the keystone of the
 // overlapped training path.
 func TestAsyncAllReduceMatchesSyncBitwise(t *testing.T) {
@@ -36,14 +38,14 @@ func TestAsyncAllReduceMatchesSyncBitwise(t *testing.T) {
 			if async {
 				var hs []*Handle
 				for off := 0; off < elems; off += be {
-					hs = append(hs, r.AllReduceAsync(bufs[r.ID()][off:off+be]))
+					hs = append(hs, w.Group().AllReduce(r, bufs[r.ID()][off:off+be], nil, nil))
 				}
 				for _, h := range hs {
 					h.Wait()
 				}
 			} else {
 				for off := 0; off < elems; off += be {
-					r.AllReduce(bufs[r.ID()][off : off+be])
+					w.Group().AllReduce(r, bufs[r.ID()][off:off+be], nil, nil).Wait()
 				}
 			}
 			return nil
@@ -71,7 +73,7 @@ func TestAsyncAllReduceMatchesSyncBitwise(t *testing.T) {
 }
 
 // TestAsyncReduceScatterShard: the handle's Wait returns the caller's
-// fully reduced shard — the same view the synchronous call returns.
+// fully reduced shard as a view into the caller's buffer.
 func TestAsyncReduceScatterShard(t *testing.T) {
 	const n, elems = 4, 32
 	w := New(n, Options{})
@@ -80,7 +82,7 @@ func TestAsyncReduceScatterShard(t *testing.T) {
 		for i := range buf {
 			buf[i] = float32(r.ID()*elems + i)
 		}
-		h := r.ReduceScatterAsync(buf)
+		h := w.Group().ReduceScatter(r, buf, nil)
 		shard := h.Wait()
 		cs := elems / n
 		for i := range shard {
@@ -100,8 +102,8 @@ func TestAsyncReduceScatterShard(t *testing.T) {
 }
 
 // TestAsyncTwoLevelChaining exercises the HYBRID_SHARD composite: a
-// shard-group reduce-scatter chained (via ...After) into a
-// replica-group all-reduce must equal the synchronous two-level
+// shard-group reduce-scatter chained (via AllReduce's after argument)
+// into a replica-group all-reduce must equal the blocking two-level
 // schedule bitwise — including when several buckets are in flight at
 // once.
 func TestAsyncTwoLevelChaining(t *testing.T) {
@@ -136,8 +138,8 @@ func TestAsyncTwoLevelChaining(t *testing.T) {
 				var hs []*Handle
 				for b := buckets - 1; b >= 0; b-- {
 					span := buf[b*be : (b+1)*be]
-					rs := sg.ReduceScatterAsync(r, span)
-					hs = append(hs, rg.AllReduceAsyncAfter(r, span[idx*cl:(idx+1)*cl], rs))
+					rs := sg.ReduceScatter(r, span, nil)
+					hs = append(hs, rg.AllReduce(r, span[idx*cl:(idx+1)*cl], nil, rs))
 				}
 				for _, h := range hs {
 					h.Wait()
@@ -145,8 +147,8 @@ func TestAsyncTwoLevelChaining(t *testing.T) {
 			} else {
 				for b := buckets - 1; b >= 0; b-- {
 					span := buf[b*be : (b+1)*be]
-					shard := sg.ReduceScatter(r, span)
-					rg.AllReduce(r, shard)
+					shard := sg.ReduceScatter(r, span, nil).Wait()
+					rg.AllReduce(r, shard, nil, nil).Wait()
 				}
 			}
 			return nil
@@ -176,8 +178,9 @@ func TestAsyncTwoLevelChaining(t *testing.T) {
 	}
 }
 
-// TestAsyncBF16MatchesSync: the bf16 wire variants stay bit-identical
-// between async and sync issue, and move exactly half the fp32 bytes.
+// TestAsyncBF16MatchesSync: the bf16 wire stays bit-identical between
+// overlapped (both buckets in flight, then Wait) and blocking issue,
+// and moves exactly half the fp32 bytes.
 func TestAsyncBF16MatchesSync(t *testing.T) {
 	const n, elems = 4, 64
 	mk := func() [][]float32 {
@@ -193,11 +196,16 @@ func TestAsyncBF16MatchesSync(t *testing.T) {
 		bufs := mk()
 		w := New(n, Options{})
 		err := w.Run(func(r *Rank) error {
-			wire := make([]uint16, elems)
+			buf, wire := bufs[r.ID()], make([]uint16, elems)
+			const half = elems / 2
 			if async {
-				r.AllReduceBF16Async(bufs[r.ID()], wire).Wait()
+				lo := w.Group().AllReduce(r, buf[:half], wire[:half], nil)
+				hi := w.Group().AllReduce(r, buf[half:], wire[half:], nil)
+				lo.Wait()
+				hi.Wait()
 			} else {
-				r.AllReduceBF16(bufs[r.ID()], wire)
+				w.Group().AllReduce(r, buf[:half], wire[:half], nil).Wait()
+				w.Group().AllReduce(r, buf[half:], wire[half:], nil).Wait()
 			}
 			return nil
 		})
@@ -232,7 +240,7 @@ func TestAsyncAbort(t *testing.T) {
 			return boom
 		}
 		buf := make([]float32, 8)
-		h := r.AllReduceAsync(buf)
+		h := w.Group().AllReduce(r, buf, nil, nil)
 		defer func() {
 			if p := recover(); p == nil {
 				t.Error("Wait did not re-raise the abort")
@@ -267,7 +275,7 @@ func TestAsyncAbortHybridSubgroups(t *testing.T) {
 		if r.ID() == 3 {
 			// The victim: issue a shard-group collective it will never
 			// Wait (abandoned at exit), then die "mid-step".
-			sg.ReduceScatterAsync(r, buf)
+			sg.ReduceScatter(r, buf, nil)
 			panic(boom)
 		}
 		defer func() {
@@ -282,14 +290,14 @@ func TestAsyncAbortHybridSubgroups(t *testing.T) {
 		}()
 		// Every survivor has work in flight on both levels: the chained
 		// replica all-reduce can only complete if rank 3 participates.
-		rs := sg.ReduceScatterAsync(r, buf)
-		ar := rg.AllReduceAsyncAfter(r, buf[:4], rs)
+		rs := sg.ReduceScatter(r, buf, nil)
+		ar := rg.AllReduce(r, buf[:4], nil, rs)
 		rs.Wait()
 		ar.Wait()
 		// Ranks whose groups exclude rank 3 entirely (rank 0's shard
 		// group {0,1} and replica group {0,2}) may get this far; the
 		// next world-group collective parks them until the abort.
-		r.AllReduce(buf[:4])
+		w.Group().AllReduce(r, buf[:4], nil, nil).Wait()
 		return nil
 	})
 	if !errors.Is(err, boom) {
@@ -314,11 +322,11 @@ func TestAsyncFIFOOrdering(t *testing.T) {
 			sum[i] = 1
 		}
 		gathered := make([]float32, n)
-		h1 := r.AllReduceAsync(sum)
+		h1 := w.Group().AllReduce(r, sum, nil, nil)
 		// The all-gather contribution reads sum's chunk — legal only
 		// because FIFO guarantees h1 ran first. (sum[r] == n after the
 		// all-reduce.)
-		h2 := r.AllGatherAsync(gathered, sum[r.ID():r.ID()+1])
+		h2 := w.Group().AllGather(r, gathered, sum[r.ID():r.ID()+1], nil)
 		h1.Wait()
 		h2.Wait()
 		for i, v := range gathered {
@@ -333,6 +341,97 @@ func TestAsyncFIFOOrdering(t *testing.T) {
 	}
 }
 
+// TestBlockingAfterAsyncIsFIFO: a blocking collective issued while an
+// overlapped one is still in flight on the same group queues behind
+// it, so the buffers are bit-identical to running the two in sequence
+// (run under -race: the two collectives share the group's ring edges).
+func TestBlockingAfterAsyncIsFIFO(t *testing.T) {
+	const n, elems = 4, 32
+	inputs := randInputs(rng.New(13), n, elems)
+	run := func(overlap bool) (sums, gathers [][]float32) {
+		sums, gathers = make([][]float32, n), make([][]float32, n)
+		w := New(n, Options{})
+		err := w.Run(func(r *Rank) error {
+			g := w.Group()
+			sum := append([]float32(nil), inputs[r.ID()]...)
+			shard := append([]float32(nil), inputs[r.ID()][:elems/n]...)
+			gather := make([]float32, elems)
+			if overlap {
+				h := g.AllReduce(r, sum, nil, nil)
+				g.AllGather(r, gather, shard, nil).Wait()
+				h.Wait()
+			} else {
+				g.AllReduce(r, sum, nil, nil).Wait()
+				g.AllGather(r, gather, shard, nil).Wait()
+			}
+			sums[r.ID()], gathers[r.ID()] = sum, gather
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sums, gathers
+	}
+	seqSum, seqGather := run(false)
+	sum, gather := run(true)
+	for r := 0; r < n; r++ {
+		for i := 0; i < elems; i++ {
+			if math.Float32bits(sum[r][i]) != math.Float32bits(seqSum[r][i]) {
+				t.Fatalf("rank %d all-reduce elem %d: %v, sequential %v", r, i, sum[r][i], seqSum[r][i])
+			}
+			if math.Float32bits(gather[r][i]) != math.Float32bits(seqGather[r][i]) {
+				t.Fatalf("rank %d all-gather elem %d: %v, sequential %v", r, i, gather[r][i], seqGather[r][i])
+			}
+		}
+	}
+}
+
+// TestIssueValidatesOnCaller: a malformed ring collective panics on
+// the issuing goroutine, at the call and before any Wait, with the
+// validation message — it never reaches a queue worker, so the world
+// is not aborted and the next collective still completes.
+func TestIssueValidatesOnCaller(t *testing.T) {
+	const n = 3
+	w := New(n, Options{})
+	err := w.Run(func(r *Rank) error {
+		g := w.Group()
+		cases := []struct {
+			name, want string
+			issue      func() *Handle
+		}{
+			{"divisibility", "reduce-scatter buffer length 4 not divisible by group size 3",
+				func() *Handle { return g.ReduceScatter(r, make([]float32, 4), nil) }},
+			{"wire length", "all-reduce bf16 wire scratch length 3, want 6",
+				func() *Handle { return g.AllReduce(r, make([]float32, 6), make([]uint16, 3), nil) }},
+			{"shard length", "all-gather shard length 1, want 2",
+				func() *Handle { return g.AllGather(r, make([]float32, 6), make([]float32, 1), nil) }},
+			{"broadcast root", "broadcast root 3 outside group of 3",
+				func() *Handle { return g.Broadcast(r, make([]float32, 2), n) }},
+		}
+		for _, c := range cases {
+			func() {
+				defer func() {
+					if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), c.want) {
+						t.Errorf("rank %d %s: recovered %v, want %q", r.ID(), c.name, p, c.want)
+					}
+				}()
+				h := c.issue()
+				t.Errorf("rank %d %s: issued without panicking", r.ID(), c.name)
+				h.Wait()
+			}()
+		}
+		buf := []float32{1, 1, 1}
+		g.AllReduce(r, buf, nil, nil).Wait()
+		if buf[0] != n {
+			return fmt.Errorf("rank %d: all-reduce after rejected calls gave %v", r.ID(), buf[0])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("rejected calls aborted the world: %v", err)
+	}
+}
+
 // TestThrottleRealizesModeledTime: with Options.Throttle the executed
 // wall-clock of a collective is at least the α–β model's prediction.
 func TestThrottleRealizesModeledTime(t *testing.T) {
@@ -342,7 +441,7 @@ func TestThrottleRealizesModeledTime(t *testing.T) {
 	start := time.Now()
 	err := w.Run(func(r *Rank) error {
 		local := make([]float32, len(buf))
-		r.AllReduce(local)
+		w.Group().AllReduce(r, local, nil, nil).Wait()
 		return nil
 	})
 	if err != nil {
@@ -365,7 +464,7 @@ func TestAsyncWorldReuse(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		err := w.Run(func(r *Rank) error {
 			buf := []float32{1, 2}
-			r.AllReduceAsync(buf).Wait()
+			w.Group().AllReduce(r, buf, nil, nil).Wait()
 			if buf[0] != 2 {
 				return fmt.Errorf("run %d: got %v", run, buf[0])
 			}

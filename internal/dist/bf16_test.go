@@ -34,7 +34,7 @@ func TestAllReduceBF16SumAndHalfBytes(t *testing.T) {
 			for i := range buf {
 				buf[i] = float32(r.ID() + 1)
 			}
-			r.AllReduce(buf)
+			wFP.Group().AllReduce(r, buf, nil, nil).Wait()
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -51,7 +51,7 @@ func TestAllReduceBF16SumAndHalfBytes(t *testing.T) {
 				buf[i] = float32(r.ID()+1) * scalePow2(i)
 			}
 			wire := make([]uint16, elems)
-			r.AllReduceBF16(buf, wire)
+			w.Group().AllReduce(r, buf, wire, nil).Wait()
 			results[r.ID()] = buf
 			return nil
 		})
@@ -100,7 +100,7 @@ func TestReduceScatterBF16FP32Accumulation(t *testing.T) {
 			buf[i] = bf16Round(0.25 * float32(r.ID()+1))
 		}
 		wire := make([]uint16, elems)
-		shard := r.ReduceScatterBF16(buf, wire)
+		shard := w.Group().ReduceScatter(r, buf, wire).Wait()
 		if len(shard) != elems/n {
 			t.Errorf("shard length %d", len(shard))
 		}
@@ -137,7 +137,7 @@ func TestAllGatherBF16RoundsOwnChunk(t *testing.T) {
 			shard[i] = 1 + float32(r.ID()+1)*1e-3
 		}
 		wire := make([]uint16, elems)
-		r.AllGatherBF16(buf, shard, wire)
+		w.Group().AllGather(r, buf, shard, wire).Wait()
 		results[r.ID()] = buf
 		return nil
 	})
@@ -175,7 +175,7 @@ func TestBF16SubgroupCollectives(t *testing.T) {
 			buf[i] = float32(r.ID() + 1)
 		}
 		wire := make([]uint16, 8)
-		g.AllReduceBF16(r, buf, wire)
+		g.AllReduce(r, buf, wire, nil).Wait()
 		results[r.ID()] = buf[0]
 		return nil
 	})
@@ -206,7 +206,7 @@ func TestBF16WireValidation(t *testing.T) {
 			// on a collective that will never happen.
 			w.doAbort()
 		}()
-		r.AllReduceBF16(make([]float32, 8), make([]uint16, 4))
+		w.Group().AllReduce(r, make([]float32, 8), make([]uint16, 4), nil).Wait()
 		return nil
 	})
 	if err != nil && err != ErrAborted {
@@ -226,7 +226,7 @@ func TestBF16Deterministic(t *testing.T) {
 				buf[i] = float32(math.Sin(float64(i*(r.ID()+3)))) * 1.7
 			}
 			wire := make([]uint16, 32)
-			r.AllReduceBF16(buf, wire)
+			w.Group().AllReduce(r, buf, wire, nil).Wait()
 			if r.ID() == 0 {
 				out = append([]float32(nil), buf...)
 			}

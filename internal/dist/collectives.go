@@ -2,35 +2,35 @@ package dist
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
 )
 
 // Rank is one participant's handle into the World. A Rank must only be
-// used from the goroutine World.Run assigned it to. Its collective
-// methods run on the world group (all ranks); Group methods run the
-// same algorithms scoped to a subgroup.
+// used from the goroutine World.Run assigned it to. It carries no
+// collectives itself: every collective is a Group method taking the
+// calling Rank, and World.Group is the communicator over all ranks.
 type Rank struct {
 	w  *World
 	id int
 
 	// sentBytes counts what this rank physically sent to a ring
 	// successor — in the world ring or any subgroup ring — per
-	// collective kind: the measured side of Stats. Written either by
-	// the rank's own goroutine (synchronous collectives) or by its
-	// async queue workers; Handle.Wait orders the two, so the counters
-	// are race-free under the async protocol's ownership rules.
-	sentBytes [numOps]int64
+	// collective kind: the measured side of Stats. Atomic because the
+	// rank's queue workers (one per group, running concurrently) and
+	// its own goroutine (scalar reductions) all add to it.
+	sentBytes [numOps]atomic.Int64
 
-	// queues are the rank's per-group async issue queues (lazily
-	// started worker goroutines; see async.go). Touched only from the
-	// rank's own goroutine.
+	// queues are the rank's per-group issue queues (lazily started
+	// worker goroutines; see async.go). Touched only from the rank's
+	// own goroutine.
 	queues map[*Group]*asyncQueue
 
-	// collectives counts collective entries (sync calls + async
-	// issues) on this rank — the deterministic sequence a FaultPlan
-	// indexes; see fault.go. Touched only from the rank's goroutine.
+	// collectives counts collective entries on this rank — the
+	// deterministic sequence a FaultPlan indexes; see fault.go.
+	// Touched only from the rank's goroutine.
 	collectives int64
 }
 
@@ -40,52 +40,10 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.w.n }
 
-// Barrier blocks until every rank has entered it.
-func (r *Rank) Barrier() { r.w.root.bar.wait() }
-
-// ReduceScatter sums buf element-wise across all ranks and leaves this
-// rank with its fully reduced shard: chunk r.ID() of the n uniform
-// chunks of buf, returned as a view into buf. After the call the other
-// chunks of buf hold partial sums and must be treated as garbage.
-// len(buf) must be a multiple of the world size.
-func (r *Rank) ReduceScatter(buf []float32) []float32 {
-	return r.w.root.ReduceScatter(r, buf)
-}
-
-// AllGather fills buf with every rank's shard: rank i contributes chunk
-// i. If shard is non-nil it is copied into this rank's chunk first
-// (shard may alias that chunk); if nil the chunk is assumed to already
-// hold this rank's contribution. len(buf) must be a multiple of the
-// world size and len(shard), when non-nil, must equal len(buf)/Size.
-func (r *Rank) AllGather(buf []float32, shard []float32) {
-	r.w.root.AllGather(r, buf, shard)
-}
-
-// AllReduce sums buf element-wise across all ranks, leaving every rank
-// with the identical full result (ring reduce-scatter followed by ring
-// all-gather, the same algorithm RCCL runs). len(buf) must be a
-// multiple of the world size.
-func (r *Rank) AllReduce(buf []float32) { r.w.root.AllReduce(r, buf) }
-
-// Broadcast copies root's buf to every rank's buf via a pipelined ring:
-// each rank forwards the payload to its successor, so ranks 0..n−2 each
-// put the full buffer on the wire once. Any length is allowed.
-func (r *Rank) Broadcast(buf []float32, root int) { r.w.root.Broadcast(r, buf, root) }
-
-// AllReduceScalar sums a float64 control value across ranks (loss
-// averaging, global gradient norms) and returns the identical total on
-// every rank. The sum is accumulated in rank order, so the result is
-// deterministic and bit-identical across ranks. Counted under OpScalar
-// in Stats; scalar control traffic is excluded from the wire-byte
-// comparisons against the fsdp simulator, which does not model it.
-func (r *Rank) AllReduceScalar(v float64) float64 {
-	return r.w.root.AllReduceScalar(r, v)
-}
-
 // abortable channel operations: every blocking ring edge also watches
 // the world's abort channel, so a peer's death surfaces as an
 // ErrAborted panic (recovered by World.Run) instead of a deadlock.
-func (r *Rank) sendView(ch chan []float32, v []float32) {
+func (r *Rank) sendView(ch chan payload, v payload) {
 	select {
 	case ch <- v:
 	case <-r.w.abort:
@@ -93,7 +51,7 @@ func (r *Rank) sendView(ch chan []float32, v []float32) {
 	}
 }
 
-func (r *Rank) recvView(ch chan []float32) []float32 {
+func (r *Rank) recvView(ch chan payload) payload {
 	select {
 	case v := <-ch:
 		return v
@@ -128,8 +86,8 @@ type member struct {
 }
 
 // ring-edge channels for this member.
-func (m member) sendCh() chan []float32 { return m.g.data[m.id] }
-func (m member) recvCh() chan []float32 { return m.g.data[(m.id-1+m.g.n)%m.g.n] }
+func (m member) sendCh() chan payload   { return m.g.data[m.id] }
+func (m member) recvCh() chan payload   { return m.g.data[(m.id-1+m.g.n)%m.g.n] }
 func (m member) ackSend() chan struct{} { return m.g.ack[(m.id-1+m.g.n)%m.g.n] }
 func (m member) ackRecv() chan struct{} { return m.g.ack[m.id] }
 
@@ -140,8 +98,8 @@ func (m member) ackRecv() chan struct{} { return m.g.ack[m.id] }
 // have capacity 1 and the acknowledgement gates the next step, so no
 // edge ever holds more than one in-flight view and a view is never read
 // after its step completes.
-func (m member) exchange(op Op, view []float32, process func(recv []float32)) {
-	m.r.sentBytes[op] += int64(len(view)) * 4
+func (m member) exchange(op Op, view payload, process func(recv payload)) {
+	m.r.sentBytes[op].Add(view.bytes())
 	m.r.sendView(m.sendCh(), view)
 	recv := m.r.recvView(m.recvCh())
 	process(recv)
@@ -149,16 +107,22 @@ func (m member) exchange(op Op, view []float32, process func(recv []float32)) {
 	m.r.recvSig(m.ackRecv())
 }
 
-// chunkOf returns the c-th of n uniform chunks of buf.
-func chunkOf(buf []float32, c, n int) []float32 {
-	cs := len(buf) / n
-	return buf[c*cs : (c+1)*cs]
+// chunkOf returns the c-th of n uniform chunks of s.
+func chunkOf[T float32 | uint16](s []T, c, n int) []T {
+	cs := len(s) / n
+	return s[c*cs : (c+1)*cs]
 }
 
-func (m member) checkDivisible(buf []float32, op Op) {
+// check validates a ring collective's buffers on the issuing
+// goroutine, so a malformed call panics at the call site instead of
+// inside a queue worker where it would abort every peer.
+func (m member) check(op Op, buf []float32, wire []uint16) {
 	if len(buf)%m.g.n != 0 {
 		panic(fmt.Sprintf("dist: %v buffer length %d not divisible by group size %d (pad the buffer)",
 			op, len(buf), m.g.n))
+	}
+	if wire != nil && len(wire) != len(buf) {
+		panic(fmt.Sprintf("dist: %v bf16 wire scratch length %d, want %d", op, len(wire), len(buf)))
 	}
 }
 
@@ -189,106 +153,83 @@ func (m member) end(op Op, c comm.Cost, t0 time.Time) {
 	}
 }
 
-func (m member) reduceScatter(buf []float32, op Op, account bool) []float32 {
-	m.checkDivisible(buf, op)
+// reduceScatterRing: at step s member i sends chunk (i−1−s) mod n —
+// the chunk it finished accumulating in the previous step, encoded for
+// the wire — and accumulates the received chunk (i−2−s) mod n into its
+// buffer. After n−1 steps chunk i on member i carries every member's
+// contribution.
+func (m member) reduceScatterRing(op Op, b wireBuf) {
 	n := m.g.n
-	if n == 1 {
-		if account {
-			t0 := m.begin()
-			m.end(op, comm.ReduceScatter(float64(len(buf)*4), 1, m.g.link), t0)
-		}
-		return buf
-	}
-	var t0 time.Time
-	if account {
-		t0 = m.begin()
-	}
-	// Ring reduce-scatter: at step s member i sends chunk (i−1−s) mod n —
-	// the chunk it finished accumulating in the previous step — and
-	// accumulates the received chunk (i−2−s) mod n into its buffer.
-	// After n−1 steps chunk i on member i carries every member's
-	// contribution.
 	for s := 0; s < n-1; s++ {
-		send := chunkOf(buf, mod(m.id-1-s, n), n)
-		m.exchange(op, send, func(recv []float32) {
-			acc := chunkOf(buf, mod(m.id-2-s, n), n)
-			for j := range acc {
-				acc[j] += recv[j]
-			}
+		m.exchange(op, b.encode(mod(m.id-1-s, n)), func(recv payload) {
+			b.add(mod(m.id-2-s, n), recv)
 		})
-	}
-	if account {
-		m.end(op, comm.ReduceScatter(float64(len(buf)*4), n, m.g.link), t0)
-	}
-	return chunkOf(buf, m.id, n)
-}
-
-func (m member) allGatherOp(buf []float32, shard []float32, op Op, account bool) {
-	m.checkDivisible(buf, op)
-	n := m.g.n
-	own := chunkOf(buf, m.id, n)
-	if shard != nil {
-		if len(shard) != len(own) {
-			panic(fmt.Sprintf("dist: all-gather shard length %d, want %d", len(shard), len(own)))
-		}
-		copy(own, shard)
-	}
-	if n == 1 {
-		if account {
-			t0 := m.begin()
-			m.end(op, comm.AllGather(float64(len(buf)*4), 1, m.g.link), t0)
-		}
-		return
-	}
-	var t0 time.Time
-	if account {
-		t0 = m.begin()
-	}
-	// Ring all-gather: at step s member i forwards chunk (i−s) mod n
-	// (its own chunk first, then whatever it received last step) and
-	// copies the received chunk (i−1−s) mod n into place.
-	for s := 0; s < n-1; s++ {
-		send := chunkOf(buf, mod(m.id-s, n), n)
-		m.exchange(op, send, func(recv []float32) {
-			copy(chunkOf(buf, mod(m.id-1-s, n), n), recv)
-		})
-	}
-	if account {
-		m.end(op, comm.AllGather(float64(len(buf)*4), n, m.g.link), t0)
 	}
 }
 
-func (m member) allReduce(buf []float32) {
+// allGatherRing: the member's own chunk is rounded to its wire image
+// once, then at step s member i forwards chunk (i−s) mod n (its own
+// chunk first, then whatever it received last step) verbatim and
+// stores the received chunk (i−1−s) mod n.
+func (m member) allGatherRing(op Op, b wireBuf) {
+	n := m.g.n
+	b.round(m.id)
+	for s := 0; s < n-1; s++ {
+		m.exchange(op, b.view(mod(m.id-s, n)), func(recv payload) {
+			b.store(mod(m.id-1-s, n), recv)
+		})
+	}
+}
+
+func (m member) reduceScatter(buf []float32, wire []uint16) []float32 {
+	b := wireBuf{buf: buf, wire: wire, chunks: m.g.n}
 	t0 := m.begin()
-	m.reduceScatter(buf, OpAllReduce, false)
-	m.allGatherOp(buf, nil, OpAllReduce, false)
-	m.end(OpAllReduce, comm.AllReduce(float64(len(buf)*4), m.g.n, m.g.link), t0)
+	m.reduceScatterRing(OpReduceScatter, b)
+	m.end(OpReduceScatter, comm.ReduceScatter(b.wireBytes(), m.g.n, m.g.link), t0)
+	return chunkOf(buf, m.id, m.g.n)
 }
 
+func (m member) allGather(buf, shard []float32, wire []uint16) {
+	if shard != nil {
+		copy(chunkOf(buf, m.id, m.g.n), shard)
+	}
+	b := wireBuf{buf: buf, wire: wire, chunks: m.g.n}
+	t0 := m.begin()
+	m.allGatherRing(OpAllGather, b)
+	m.end(OpAllGather, comm.AllGather(b.wireBytes(), m.g.n, m.g.link), t0)
+}
+
+// allReduce is ring reduce-scatter followed by ring all-gather, the
+// same algorithm RCCL runs.
+func (m member) allReduce(buf []float32, wire []uint16) {
+	b := wireBuf{buf: buf, wire: wire, chunks: m.g.n}
+	t0 := m.begin()
+	m.reduceScatterRing(OpAllReduce, b)
+	m.allGatherRing(OpAllReduce, b)
+	m.end(OpAllReduce, comm.AllReduce(b.wireBytes(), m.g.n, m.g.link), t0)
+}
+
+// broadcast pipelines the root's whole buffer around the ring: each
+// member forwards the payload to its successor, so every member but
+// the last puts the full buffer on the wire once.
 func (m member) broadcast(buf []float32, root int) {
 	n := m.g.n
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("dist: broadcast root %d outside group of %d", root, n))
-	}
+	b := wireBuf{buf: buf, chunks: 1}
 	t0 := m.begin()
 	if n > 1 {
 		pos := mod(m.id-root, n) // distance from root along the ring
-		if pos == 0 {
-			m.r.sentBytes[OpBroadcast] += int64(len(buf)) * 4
-			m.r.sendView(m.sendCh(), buf)
-			m.r.recvSig(m.ackRecv())
-		} else {
-			recv := m.r.recvView(m.recvCh())
-			copy(buf, recv)
+		if pos > 0 {
+			b.store(0, m.r.recvView(m.recvCh()))
 			m.r.sendSig(m.ackSend())
-			if pos < n-1 {
-				m.r.sentBytes[OpBroadcast] += int64(len(buf)) * 4
-				m.r.sendView(m.sendCh(), buf)
-				m.r.recvSig(m.ackRecv())
-			}
+		}
+		if pos < n-1 {
+			v := b.view(0)
+			m.r.sentBytes[OpBroadcast].Add(v.bytes())
+			m.r.sendView(m.sendCh(), v)
+			m.r.recvSig(m.ackRecv())
 		}
 	}
-	m.end(OpBroadcast, comm.Broadcast(float64(len(buf)*4), n, m.g.link), t0)
+	m.end(OpBroadcast, comm.Broadcast(b.wireBytes(), n, m.g.link), t0)
 }
 
 func (m member) allReduceScalar(v float64) float64 {
@@ -307,7 +248,7 @@ func (m member) allReduceScalar(v float64) float64 {
 		total += x
 	}
 	g.bar.wait() // the slot table may be reused after every member has read it
-	m.r.sentBytes[OpScalar] += 8
+	m.r.sentBytes[OpScalar].Add(8)
 	m.end(OpScalar, comm.AllReduce(8, g.n, g.link), t0)
 	return total
 }

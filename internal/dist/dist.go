@@ -22,11 +22,12 @@
 // function on each (the SPMD convention). Collective calls are
 // synchronization points: every rank of the world must call the same
 // collectives in the same order with the same buffer lengths, exactly
-// like an MPI or NCCL program. The collectives are zero-copy — ranks
-// exchange read-only views of their buffers around the ring, and a
-// per-step acknowledgement handshake guarantees a sender never rewrites
-// a chunk a neighbour is still reading — so a collective moves no bytes
-// beyond what the ring algorithm itself requires.
+// like an MPI or NCCL program. On the fp32 wire the collectives are
+// zero-copy — ranks exchange read-only views of their buffers around
+// the ring, and a per-step acknowledgement handshake guarantees a
+// sender never rewrites a chunk a neighbour is still reading — so a
+// collective moves no bytes beyond what the ring algorithm itself
+// requires.
 //
 // # Accounting
 //
@@ -39,20 +40,27 @@
 //	broadcast:                    V   (ranks 0..n−2 each forward V)
 //
 // AllReduce, ReduceScatter and AllGather require len(buf) to be a
-// multiple of the world size so chunks are uniform and the measured
+// multiple of the group size so chunks are uniform and the measured
 // volume matches the model exactly; callers pad (see opt.PadTo).
 //
-// # Asynchronous handles
+// # One collective API
 //
-// Every collective also exists in an asynchronous form
-// (AllReduceAsync, ReduceScatterAsync, AllGatherAsync and their BF16
-// twins, plus ...After chaining across groups): the ring machinery
-// runs on a per-(rank, group) worker goroutine fed by a FIFO issue
-// queue, and Handle.Wait synchronizes — the executed analog of a GPU
-// side stream, which the overlapped training path uses to hide
-// gradient reductions behind backward compute. Async and synchronous
-// issue run the identical deterministic rings, so results and byte
-// accounting are bit-for-bit the same; see async.go for the protocol.
+// Every collective is one Group method: AllReduce, ReduceScatter,
+// AllGather and Broadcast run on the ring and return a *Handle, while
+// Barrier and AllReduceScalar are synchronous control plane. The wire
+// format is an argument, not a method: wire == nil moves fp32 views of
+// the caller's buffer, a non-nil uint16 scratch of len(buf) moves bf16
+// payloads at half the bytes with fp32 accumulation (see wire.go).
+// World.Group is the communicator over all ranks; World.Subgroup
+// carves the others.
+//
+// Ring collectives run on a per-(rank, group) worker goroutine fed by
+// a FIFO issue queue, and Handle.Wait synchronizes — the executed
+// analog of a GPU side stream, which the overlapped training path uses
+// to hide gradient reductions behind backward compute. A blocking call
+// is g.X(...).Wait(): the same queue, the same deterministic rings, so
+// overlapped and blocking schedules leave bit-for-bit the same results
+// and byte accounting; see async.go for the protocol.
 // Options.Throttle additionally realizes each collective's α–β modeled
 // time as executed delay, making hidden versus exposed communication
 // measurable in wall-clock.
@@ -225,8 +233,7 @@ type World struct {
 
 	ranks []*Rank
 
-	// root is the world-wide Group (all ranks); Rank's collective
-	// methods delegate to it.
+	// root is the world-wide Group (all ranks), returned by Group.
 	root *Group
 
 	// subgroup registry: memoized by rank sequence so every member's
@@ -292,6 +299,11 @@ func New(n int, opts Options) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
+
+// Group returns the communicator over all ranks in rank order — the
+// group every world-wide collective, barrier and scalar reduction runs
+// on.
+func (w *World) Group() *Group { return w.root }
 
 // ErrAborted is the error a rank observes when a peer died (panicked
 // or returned an error) while it was parked in a collective. The
@@ -382,7 +394,7 @@ func (w *World) Stats() Stats {
 	fill := func(o Op) OpStats {
 		var maxSent float64
 		for _, r := range w.ranks {
-			if b := float64(r.sentBytes[o]); b > maxSent {
+			if b := float64(r.sentBytes[o].Load()); b > maxSent {
 				maxSent = b
 			}
 		}

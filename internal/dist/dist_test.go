@@ -49,7 +49,7 @@ func TestAllReduceMatchesReference(t *testing.T) {
 			w := New(n, Options{})
 			err := w.Run(func(rk *Rank) error {
 				buf := append([]float32(nil), inputs[rk.ID()]...)
-				rk.AllReduce(buf)
+				w.Group().AllReduce(rk, buf, nil, nil).Wait()
 				outs[rk.ID()] = buf
 				return nil
 			})
@@ -86,7 +86,7 @@ func TestReduceScatterMatchesReference(t *testing.T) {
 		w := New(n, Options{})
 		err := w.Run(func(rk *Rank) error {
 			buf := append([]float32(nil), inputs[rk.ID()]...)
-			shard := rk.ReduceScatter(buf)
+			shard := w.Group().ReduceScatter(rk, buf, nil).Wait()
 			shards[rk.ID()] = append([]float32(nil), shard...)
 			return nil
 		})
@@ -116,7 +116,7 @@ func TestAllGatherMatchesReference(t *testing.T) {
 		w := New(n, Options{})
 		err := w.Run(func(rk *Rank) error {
 			buf := make([]float32, n*cs)
-			rk.AllGather(buf, inputs[rk.ID()])
+			w.Group().AllGather(rk, buf, inputs[rk.ID()], nil).Wait()
 			outs[rk.ID()] = buf
 			return nil
 		})
@@ -149,7 +149,7 @@ func TestBroadcast(t *testing.T) {
 				if rk.ID() == root {
 					copy(buf, payload)
 				}
-				rk.Broadcast(buf, root)
+				w.Group().Broadcast(rk, buf, root).Wait()
 				outs[rk.ID()] = buf
 				return nil
 			})
@@ -173,7 +173,7 @@ func TestAllReduceScalar(t *testing.T) {
 		outs := make([]float64, n)
 		w := New(n, Options{})
 		err := w.Run(func(rk *Rank) error {
-			outs[rk.ID()] = rk.AllReduceScalar(float64(rk.ID() + 1))
+			outs[rk.ID()] = w.Group().AllReduceScalar(rk, float64(rk.ID()+1))
 			return nil
 		})
 		if err != nil {
@@ -202,14 +202,14 @@ func TestSequencedCollectives(t *testing.T) {
 	err := w.Run(func(rk *Rank) error {
 		buf := append([]float32(nil), inputs[rk.ID()]...)
 		for iter := 0; iter < 10; iter++ {
-			rk.AllReduce(buf)
-			shard := rk.ReduceScatter(buf)
-			rk.AllGather(buf, append([]float32(nil), shard...))
-			rk.Broadcast(buf, iter%n)
-			rk.Barrier()
+			w.Group().AllReduce(rk, buf, nil, nil).Wait()
+			shard := w.Group().ReduceScatter(rk, buf, nil).Wait()
+			w.Group().AllGather(rk, buf, append([]float32(nil), shard...), nil).Wait()
+			w.Group().Broadcast(rk, buf, iter%n).Wait()
+			w.Group().Barrier(rk)
 			copy(buf, inputs[rk.ID()])
 		}
-		rk.AllReduce(buf)
+		w.Group().AllReduce(rk, buf, nil, nil).Wait()
 		outs[rk.ID()] = buf
 		return nil
 	})
@@ -234,10 +234,10 @@ func TestStatsAccounting(t *testing.T) {
 	w := New(n, Options{})
 	err := w.Run(func(rk *Rank) error {
 		buf := make([]float32, elems)
-		rk.AllReduce(buf)
-		rk.ReduceScatter(buf)
-		rk.AllGather(buf, nil)
-		rk.Broadcast(buf, 0)
+		w.Group().AllReduce(rk, buf, nil, nil).Wait()
+		w.Group().ReduceScatter(rk, buf, nil).Wait()
+		w.Group().AllGather(rk, buf, nil, nil).Wait()
+		w.Group().Broadcast(rk, buf, 0).Wait()
 		return nil
 	})
 	if err != nil {
@@ -280,11 +280,11 @@ func TestDivisibilityPanics(t *testing.T) {
 	err := w.Run(func(rk *Rank) error {
 		if rk.ID() == 0 {
 			defer func() { recover() }()
-			rk.AllReduce(make([]float32, 4)) // 4 % 3 != 0 → panics on every rank
+			w.Group().AllReduce(rk, make([]float32, 4), nil, nil).Wait() // 4 % 3 != 0 → panics at issue on every rank
 			return nil
 		}
 		defer func() { recover() }()
-		rk.AllReduce(make([]float32, 4))
+		w.Group().AllReduce(rk, make([]float32, 4), nil, nil).Wait()
 		return nil
 	})
 	if err != nil {
@@ -315,8 +315,8 @@ func TestAbortUnblocksPeers(t *testing.T) {
 			panic("boom")
 		}
 		buf := make([]float32, 6)
-		rk.AllReduce(buf) // would hang forever without the abort path
-		rk.Barrier()
+		w.Group().AllReduce(rk, buf, nil, nil).Wait() // would hang forever without the abort path
+		w.Group().Barrier(rk)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
@@ -329,7 +329,7 @@ func TestAbortUnblocksPeers(t *testing.T) {
 		if rk.ID() == 0 {
 			return errors.New("rank 0 failed")
 		}
-		rk.Barrier()
+		w.Group().Barrier(rk)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank 0 failed") {

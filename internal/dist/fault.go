@@ -12,14 +12,13 @@ import (
 // in a collective on any group unblocks with ErrAborted, abandoned
 // async handles fail, and World.Run returns the victim's error.
 //
-// Entries are counted on the issuing rank's own goroutine — at the
-// top of every synchronous collective call and at async issue time —
-// so the fault index is deterministic: the same program kills at the
-// same point on every run, regardless of how the async queue workers
-// interleave. Sync and async issue, fp32 and bf16 wire modes, world
-// and subgroup collectives all count against the one per-rank
-// sequence; barriers do not (they are not collectives in Stats
-// either).
+// Entries are counted on the issuing rank's own goroutine — at issue
+// time, one entry per call — so the fault index is deterministic: the
+// same program kills at the same point on every run, regardless of how
+// the queue workers interleave or when the caller Waits. Ring and
+// scalar collectives, fp32 and bf16 wires, world and subgroup
+// communicators all count against the one per-rank sequence; barriers
+// do not (they are not collectives in Stats either).
 //
 // The elastic driver (internal/train.PretrainElastic) detects an
 // injected death via errors.Is(err, ErrInjectedFault) on the error
@@ -37,9 +36,8 @@ type FaultPlan struct {
 	// Rank is the world rank to kill.
 	Rank int
 	// Call is the 1-based index of the collective entry at which the
-	// rank dies, counted across every collective the rank enters (sync
-	// call or async issue, any group, any wire mode). Call <= 0
-	// disables the plan.
+	// rank dies, counted across every collective the rank issues (any
+	// group, any wire). Call <= 0 disables the plan.
 	Call int64
 }
 
@@ -70,7 +68,7 @@ func (e *InjectedFault) Unwrap() error { return ErrInjectedFault }
 // enter counts one collective entry on the calling rank's own
 // goroutine and fires the world's FaultPlan when this entry is the
 // planned one. Returns the member unchanged so call sites chain:
-// g.on(r).enter(op).allReduce(buf).
+// g.on(r).enter(op).
 func (m member) enter(op Op) member {
 	r := m.r
 	r.collectives++
@@ -80,8 +78,8 @@ func (m member) enter(op Op) member {
 	return m
 }
 
-// CollectiveCalls returns how many collectives this rank has entered
-// (sync calls plus async issues) since the World was created — the
+// CollectiveCalls returns how many collectives this rank has issued
+// since the World was created — the
 // sequence a FaultPlan.Call indexes into. Read it after World.Run
 // returns; the counter is owned by the rank's goroutine while running.
 func (r *Rank) CollectiveCalls() int64 { return r.collectives }

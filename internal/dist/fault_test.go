@@ -19,7 +19,7 @@ func TestFaultPlanKillsAtIndex(t *testing.T) {
 	err := w.Run(func(r *Rank) error {
 		buf := make([]float32, 4*n)
 		for i := 0; i < 10; i++ {
-			r.AllReduce(buf)
+			w.Group().AllReduce(r, buf, nil, nil).Wait()
 		}
 		return nil
 	})
@@ -41,9 +41,10 @@ func TestFaultPlanKillsAtIndex(t *testing.T) {
 }
 
 // TestFaultPlanMatrix drives the injected death through every path the
-// elastic driver has to survive: synchronous and asynchronous issue,
-// fp32 and bf16 wire, world-group and subgroup collectives. Each case
-// must surface ErrInjectedFault from Run with no deadlock.
+// elastic driver has to survive: blocking calls and several issued
+// handles in flight at once, fp32 and bf16 wire, world-group and
+// subgroup collectives. Each case must surface ErrInjectedFault from
+// Run with no deadlock.
 func TestFaultPlanMatrix(t *testing.T) {
 	const n = 4
 	cases := []struct {
@@ -53,27 +54,35 @@ func TestFaultPlanMatrix(t *testing.T) {
 		{"sync/fp32", func(w *World, r *Rank) {
 			buf := make([]float32, 4*n)
 			for i := 0; i < 8; i++ {
-				r.AllReduce(buf)
+				w.Group().AllReduce(r, buf, nil, nil).Wait()
 			}
 		}},
 		{"sync/bf16", func(w *World, r *Rank) {
 			buf := make([]float32, 4*n)
 			wire := make([]uint16, len(buf))
 			for i := 0; i < 8; i++ {
-				r.AllReduceBF16(buf, wire)
+				w.Group().AllReduce(r, buf, wire, nil).Wait()
 			}
 		}},
 		{"async/fp32", func(w *World, r *Rank) {
-			buf := make([]float32, 4*n)
-			for i := 0; i < 8; i++ {
-				r.AllReduceAsync(buf).Wait()
+			bufs := make([][]float32, 8)
+			var hs []*Handle
+			for i := range bufs {
+				bufs[i] = make([]float32, 4*n)
+				hs = append(hs, w.Group().AllReduce(r, bufs[i], nil, nil))
+			}
+			for _, h := range hs {
+				h.Wait()
 			}
 		}},
 		{"async/bf16", func(w *World, r *Rank) {
-			buf := make([]float32, 4*n)
-			wire := make([]uint16, len(buf))
+			var hs []*Handle
 			for i := 0; i < 8; i++ {
-				r.AllReduceBF16Async(buf, wire).Wait()
+				buf := make([]float32, 4*n)
+				hs = append(hs, w.Group().AllReduce(r, buf, make([]uint16, len(buf)), nil))
+			}
+			for _, h := range hs {
+				h.Wait()
 			}
 		}},
 		{"subgroup/two-level", func(w *World, r *Rank) {
@@ -84,8 +93,8 @@ func TestFaultPlanMatrix(t *testing.T) {
 			rg := w.Subgroup([]int{r.ID() % 2, r.ID()%2 + 2})
 			buf := make([]float32, 8)
 			for i := 0; i < 8; i++ {
-				shard := sg.ReduceScatter(r, buf)
-				rg.AllReduce(r, shard)
+				shard := sg.ReduceScatter(r, buf, nil).Wait()
+				rg.AllReduce(r, shard, nil, nil).Wait()
 			}
 		}},
 		{"subgroup/async-chained", func(w *World, r *Rank) {
@@ -94,8 +103,8 @@ func TestFaultPlanMatrix(t *testing.T) {
 			rg := w.Subgroup([]int{r.ID() % 2, r.ID()%2 + 2})
 			buf := make([]float32, 8)
 			for i := 0; i < 8; i++ {
-				rs := sg.ReduceScatterAsync(r, buf)
-				rg.AllReduceAsyncAfter(r, buf[:4], rs).Wait()
+				rs := sg.ReduceScatter(r, buf, nil)
+				rg.AllReduce(r, buf[:4], nil, rs).Wait()
 			}
 		}},
 	}
@@ -128,8 +137,8 @@ func TestFaultPlanDeterministic(t *testing.T) {
 		return w.Run(func(r *Rank) error {
 			buf := make([]float32, 3)
 			for i := 0; i < 6; i++ {
-				r.AllReduce(buf)
-				r.AllReduceScalar(1)
+				w.Group().AllReduce(r, buf, nil, nil).Wait()
+				w.Group().AllReduceScalar(r, 1)
 			}
 			return nil
 		})
@@ -155,7 +164,7 @@ func TestFaultPlanDisarmed(t *testing.T) {
 		w := New(2, Options{Fault: plan})
 		err := w.Run(func(r *Rank) error {
 			buf := make([]float32, 2)
-			r.AllReduce(buf)
+			w.Group().AllReduce(r, buf, nil, nil).Wait()
 			return nil
 		})
 		if err != nil {
@@ -201,7 +210,7 @@ func TestThrottleSkewStraggler(t *testing.T) {
 		err := w.Run(func(r *Rank) error {
 			buf := make([]float32, elems)
 			for i := 0; i < rounds; i++ {
-				r.AllReduce(buf)
+				w.Group().AllReduce(r, buf, nil, nil).Wait()
 			}
 			return nil
 		})

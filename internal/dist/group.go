@@ -18,8 +18,15 @@ import (
 // member's world rank, and calls are priced by the same α–β model,
 // recorded from world rank 0's perspective (see Stats).
 //
-// The World itself is the degenerate Group over all ranks — Rank's
-// collective methods delegate to it.
+// The World itself is the degenerate Group over all ranks (World.Group).
+//
+// The ring collectives (AllReduce, ReduceScatter, AllGather, Broadcast)
+// all issue onto the calling rank's FIFO queue for the group and
+// return a *Handle; a blocking call is the issue followed immediately
+// by Wait. Buffers are validated on the issuing goroutine, so a
+// malformed call panics at the call site. Barrier and AllReduceScalar
+// are control plane: they run synchronously on the calling goroutine
+// over the group's barrier and scalar slot table, not its ring.
 type Group struct {
 	w    *World
 	n    int
@@ -29,12 +36,11 @@ type Group struct {
 	index   map[int]int // world rank id → group-local rank
 
 	// data[i] carries views from member i to member (i+1)%n; ack[i]
-	// carries the matching consumption acknowledgements back. dataU16
-	// is the same edge in the bf16 wire mode (uint16 payloads); the ack
-	// channels are shared because a group runs one collective at a time.
-	data    []chan []float32
-	dataU16 []chan []uint16
-	ack     []chan struct{}
+	// carries the matching consumption acknowledgements back. Each
+	// member runs the group's collectives one at a time, in issue order,
+	// on its queue worker, so one edge pair serves every collective.
+	data []chan payload
+	ack  []chan struct{}
 
 	bar     barrier
 	scalars []float64
@@ -47,8 +53,7 @@ func newGroup(w *World, members []int, link comm.Params) *Group {
 		link:    link,
 		members: append([]int(nil), members...),
 		index:   make(map[int]int, len(members)),
-		data:    make([]chan []float32, len(members)),
-		dataU16: make([]chan []uint16, len(members)),
+		data:    make([]chan payload, len(members)),
 		ack:     make([]chan struct{}, len(members)),
 		scalars: make([]float64, len(members)),
 	}
@@ -57,8 +62,7 @@ func newGroup(w *World, members []int, link comm.Params) *Group {
 	}
 	g.bar.init(g.n)
 	for i := range g.data {
-		g.data[i] = make(chan []float32, 1)
-		g.dataU16[i] = make(chan []uint16, 1)
+		g.data[i] = make(chan payload, 1)
 		g.ack[i] = make(chan struct{}, 1)
 	}
 	return g
@@ -145,39 +149,67 @@ func (g *Group) on(r *Rank) member {
 }
 
 // AllReduce sums buf element-wise across the group's members, leaving
-// every member with the identical full result. len(buf) must be a
-// multiple of the group size.
-func (g *Group) AllReduce(r *Rank, buf []float32) { g.on(r).enter(OpAllReduce).allReduce(buf) }
+// every member with the identical full result; Wait returns nil.
+// len(buf) must be a multiple of the group size. wire selects the wire
+// format (nil: fp32; non-nil: bf16 scratch with len(wire) == len(buf),
+// and the result is bf16-valued). A non-nil after orders the operation
+// behind that handle, typically from another group's queue — how
+// HYBRID_SHARD chains a bucket's replica-group all-reduce behind its
+// shard-group reduce-scatter without serializing the two queues.
+func (g *Group) AllReduce(r *Rank, buf []float32, wire []uint16, after *Handle) *Handle {
+	m := g.on(r).enter(OpAllReduce)
+	m.check(OpAllReduce, buf, wire)
+	return m.issue(after, func() []float32 { m.allReduce(buf, wire); return nil })
+}
 
-// ReduceScatter sums buf element-wise across the group and leaves the
-// calling member with its fully reduced shard: chunk RankOf(r) of the
-// Size() uniform chunks of buf, returned as a view into buf. The other
-// chunks hold partial sums afterwards and must be treated as garbage.
-// len(buf) must be a multiple of the group size.
-func (g *Group) ReduceScatter(r *Rank, buf []float32) []float32 {
-	return g.on(r).enter(OpReduceScatter).reduceScatter(buf, OpReduceScatter, true)
+// ReduceScatter sums buf element-wise across the group; Wait returns
+// the calling member's fully reduced shard: chunk RankOf(r) of the
+// Size() uniform chunks of buf, as a view into buf (accumulated in
+// fp32 on either wire). The other chunks hold partial sums afterwards
+// and must be treated as garbage. len(buf) must be a multiple of the
+// group size; wire as for AllReduce.
+func (g *Group) ReduceScatter(r *Rank, buf []float32, wire []uint16) *Handle {
+	m := g.on(r).enter(OpReduceScatter)
+	m.check(OpReduceScatter, buf, wire)
+	return m.issue(nil, func() []float32 { return m.reduceScatter(buf, wire) })
 }
 
 // AllGather fills buf with every member's shard: member i contributes
-// chunk i. If shard is non-nil it is copied into the caller's chunk
-// first; if nil the chunk is assumed to already hold the contribution.
-// len(buf) must be a multiple of the group size.
-func (g *Group) AllGather(r *Rank, buf, shard []float32) {
-	g.on(r).enter(OpAllGather).allGatherOp(buf, shard, OpAllGather, true)
+// chunk i; Wait returns nil. If shard is non-nil it is copied into the
+// caller's chunk first (shard may alias that chunk, and must be
+// len(buf)/Size() long); if nil the chunk is assumed to already hold
+// the contribution. len(buf) must be a multiple of the group size;
+// wire as for AllReduce. On the bf16 wire every contribution is
+// rounded before it travels — the caller's own chunk included, which
+// is rewritten in place — so all members hold bit-identical buffers.
+func (g *Group) AllGather(r *Rank, buf, shard []float32, wire []uint16) *Handle {
+	m := g.on(r).enter(OpAllGather)
+	m.check(OpAllGather, buf, wire)
+	if shard != nil && len(shard) != len(buf)/g.n {
+		panic(fmt.Sprintf("dist: all-gather shard length %d, want %d", len(shard), len(buf)/g.n))
+	}
+	return m.issue(nil, func() []float32 { m.allGather(buf, shard, wire); return nil })
 }
 
 // Broadcast copies the group-local root member's buf to every member
-// via a pipelined ring. Any length is allowed.
-func (g *Group) Broadcast(r *Rank, buf []float32, root int) {
-	g.on(r).enter(OpBroadcast).broadcast(buf, root)
+// via a pipelined fp32 ring; Wait returns nil. Any length is allowed.
+func (g *Group) Broadcast(r *Rank, buf []float32, root int) *Handle {
+	m := g.on(r).enter(OpBroadcast)
+	if root < 0 || root >= g.n {
+		panic(fmt.Sprintf("dist: broadcast root %d outside group of %d", root, g.n))
+	}
+	return m.issue(nil, func() []float32 { m.broadcast(buf, root); return nil })
 }
 
 // Barrier blocks until every member has entered it.
 func (g *Group) Barrier(r *Rank) { g.on(r); g.bar.wait() }
 
-// AllReduceScalar sums a float64 control value across the group's
-// members in group-rank order (deterministic, bit-identical result on
-// every member).
+// AllReduceScalar sums a float64 control value (loss averaging, global
+// gradient norms) across the group's members in group-rank order and
+// returns the deterministic, bit-identical total on every member.
+// Counted under OpScalar in Stats; scalar control traffic is excluded
+// from the wire-byte comparisons against the fsdp simulator, which
+// does not model it.
 func (g *Group) AllReduceScalar(r *Rank, v float64) float64 {
 	return g.on(r).enter(OpScalar).allReduceScalar(v)
 }

@@ -72,16 +72,16 @@ func TestSubgroupCollectivesMatchReference(t *testing.T) {
 
 				buf := make([]float32, padded)
 				copy(buf, inputs[rk.ID()])
-				g.AllReduce(rk, buf)
+				g.AllReduce(rk, buf, nil, nil).Wait()
 				arOut[rk.ID()] = buf
 
 				buf = make([]float32, padded)
 				copy(buf, inputs[rk.ID()])
-				shard := g.ReduceScatter(rk, buf)
+				shard := g.ReduceScatter(rk, buf, nil).Wait()
 				rsOut[rk.ID()] = append([]float32(nil), shard...)
 
 				gather := make([]float32, padded)
-				g.AllGather(rk, gather, rsOut[rk.ID()])
+				g.AllGather(rk, gather, rsOut[rk.ID()], nil).Wait()
 				agOut[rk.ID()] = gather
 				return nil
 			})
@@ -157,7 +157,7 @@ func TestSubgroupStridedReplicaGroups(t *testing.T) {
 
 		// Broadcast the group-local root's payload within each shard group.
 		buf := []float32{float32(rk.ID())}
-		shard.Broadcast(rk, buf, 0)
+		shard.Broadcast(rk, buf, 0).Wait()
 		bcast[rk.ID()] = buf
 
 		if shard.RankOf(rk) != rk.ID()-first {
@@ -237,7 +237,7 @@ func TestSubgroupValidation(t *testing.T) {
 					t.Errorf("non-member collective: got %v", p)
 				}
 			}()
-			g.AllReduce(rk, make([]float32, 2))
+			g.AllReduce(rk, make([]float32, 2), nil, nil).Wait()
 		}
 		return nil
 	})
@@ -260,9 +260,9 @@ func TestSubgroupAccountingComposes(t *testing.T) {
 		shard := w.Subgroup([]int{rk.ID() / 2 * 2, rk.ID()/2*2 + 1}) // {0 1} and {2 3}
 		repl := w.Subgroup([]int{rk.ID() % 2, rk.ID()%2 + 2})        // {0 2} and {1 3}
 		buf := make([]float32, elems)
-		shard.AllGather(rk, buf, nil)
-		shard.ReduceScatter(rk, buf)
-		repl.AllReduce(rk, buf)
+		shard.AllGather(rk, buf, nil, nil).Wait()
+		shard.ReduceScatter(rk, buf, nil).Wait()
+		repl.AllReduce(rk, buf, nil, nil).Wait()
 		return nil
 	})
 	if err != nil {
@@ -305,7 +305,7 @@ func TestSubgroupAbortUnblocks(t *testing.T) {
 		}
 		g := w.Subgroup([]int{0, 1, 2, 3}) // rank 3 never arrives
 		buf := make([]float32, 8)
-		g.AllReduce(rk, buf)
+		g.AllReduce(rk, buf, nil, nil).Wait()
 		g.AllReduceScalar(rk, 1)
 		return nil
 	})

@@ -384,11 +384,6 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 	st := &TrainState{}
 	var stOnce sync.Once
 
-	allRanks := make([]int, n)
-	for i := range allRanks {
-		allRanks[i] = i
-	}
-
 	start := time.Now()
 	err = world.Run(func(r *dist.Rank) error {
 		// Every rank builds a replica from the same seed (which also
@@ -423,7 +418,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 		}
 		switch mode {
 		case execReplicated:
-			gradGroup = world.Subgroup(allRanks)
+			gradGroup = world.Group()
 		default:
 			repl := n / group
 			// Shard groups are consecutive rank blocks (the paper's
@@ -449,7 +444,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 			if r.ID() == 0 {
 				opt.PackValues(initBuf, params)
 			}
-			r.Broadcast(initBuf, 0)
+			world.Group().Broadcast(r, initBuf, 0).Wait()
 			opt.UnpackValues(params, initBuf)
 		} else {
 			// Every rank restores the identical fp32 master snapshot
@@ -471,7 +466,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 		if r.ID() == 0 {
 			timer = &phaseTimer{}
 		}
-		eng, err := newSyncEngine(r, model, params, mode, bf16, cfg.Overlap,
+		eng, err := newSyncEngine(r, model, params, mode, cfg.Overlap,
 			gradGroup, replGroup, group, flatG, wire, timer,
 			bucketElemsFor(cfg.BucketBytes, plan.DDPBucketBytes,
 				plan.Strategy == fsdp.DDP, cfg.Precision.WireBytes(), n, padded))
@@ -735,7 +730,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 					eng.gatherShard(gBuf)
 					var overflow bool
 					timer.comm(func() {
-						overflow = r.AllReduceScalar(boolFlag(opt.HasNonFinite(gBuf))) > 0
+						overflow = world.Group().AllReduceScalar(r, boolFlag(opt.HasNonFinite(gBuf))) > 0
 					})
 					if !scaler.Update(overflow) {
 						tensor.Scale(gBuf, gBuf, invScale)
@@ -765,7 +760,7 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 
 				var gLoss float64
 				timer.comm(func() {
-					gLoss = r.AllReduceScalar(lossSum*invAccum) / float64(n)
+					gLoss = world.Group().AllReduceScalar(r, lossSum*invAccum) / float64(n)
 				})
 				lossSum = 0
 				micro = 0
@@ -790,14 +785,14 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 			if ce := cfg.CheckpointEvery; ce > 0 && (epoch+1)%ce == 0 && epoch+1 < lastEpoch {
 				ckStart := time.Now()
 				captureState()
-				r.Barrier()
+				world.Group().Barrier(r)
 				if r.ID() == 0 {
 					stampState(step, epoch+1)
 					if cfg.OnCheckpoint != nil {
 						cfg.OnCheckpoint(st.clone(), time.Since(ckStart))
 					}
 				}
-				r.Barrier()
+				world.Group().Barrier(r)
 			}
 		}
 

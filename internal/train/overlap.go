@@ -15,7 +15,7 @@ import (
 // flat gradient space is split into wire buckets, the layer-granular
 // backward (mae.BackwardStepLayers) reports each unit's gradients the
 // moment they are final, and the engine launches the covering buckets'
-// collectives on internal/dist's async issue queues while the
+// collectives on internal/dist's issue queues while the
 // remaining layers keep computing — FSDP's per-unit overlapped
 // reduce-scatter, executed. With Overlap off the identical operations
 // run at the identical points but are waited immediately, so the two
@@ -90,7 +90,6 @@ func (t *phaseTimer) comm(f func()) {
 type syncEngine struct {
 	r       *dist.Rank
 	mode    execMode
-	bf16    bool
 	overlap bool
 
 	gradGroup *dist.Group // collective group for gradient buckets (world for replicated, shard group otherwise)
@@ -102,7 +101,7 @@ type syncEngine struct {
 
 	params []*nn.Param
 	flatG  []float32
-	wire   []uint16 // bf16 wire scratch (nil under fp32)
+	wire   []uint16 // bf16 wire scratch; nil selects the fp32 wire
 
 	segStart []int // flat frontier after each backward segment
 
@@ -122,13 +121,13 @@ type syncEngine struct {
 // newSyncEngine builds the bucket layout and validates the model's
 // backward-segment contract against the flat packing order.
 func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param,
-	mode execMode, bf16, overlap bool,
+	mode execMode, overlap bool,
 	gradGroup, replGroup *dist.Group, group int,
 	flatG []float32, wire []uint16, timer *phaseTimer, bucketElems int) (*syncEngine, error) {
 
 	padded := len(flatG)
 	e := &syncEngine{
-		r: r, mode: mode, bf16: bf16, overlap: overlap,
+		r: r, mode: mode, overlap: overlap,
 		gradGroup: gradGroup, replGroup: replGroup,
 		params: params, flatG: flatG, wire: wire, timer: timer,
 	}
@@ -207,8 +206,8 @@ func (e *syncEngine) onSegment(k int) {
 // reduce-scatter (chained into a replica-group all-reduce under
 // HYBRID) for the sharded ones — over the bf16 wire when the run is
 // mixed-precision. With Overlap off the handle is waited immediately
-// (the synchronous schedule); either way completion order and
-// arithmetic are identical.
+// (the blocking schedule); either way completion order and arithmetic
+// are identical.
 func (e *syncEngine) launch(b gradBucket) {
 	sp := b.span
 	view := e.flatG[sp.Lo:sp.Hi]
@@ -217,21 +216,12 @@ func (e *syncEngine) launch(b gradBucket) {
 		tensor.Scale(view, view, e.gScale)
 	}
 	var h *dist.Handle
-	switch {
-	case e.mode == execReplicated && !e.bf16:
-		h = e.gradGroup.AllReduceAsync(e.r, view)
-	case e.mode == execReplicated && e.bf16:
-		h = e.gradGroup.AllReduceBF16Async(e.r, view, e.wire[sp.Lo:sp.Hi])
-	case !e.bf16:
-		h = e.gradGroup.ReduceScatterAsync(e.r, view)
+	if e.mode == execReplicated {
+		h = e.gradGroup.AllReduce(e.r, view, e.wireOf(sp), nil)
+	} else {
+		h = e.gradGroup.ReduceScatter(e.r, view, e.wireOf(sp))
 		if e.replGroup != nil {
-			h = e.replGroup.AllReduceAsyncAfter(e.r, e.flatG[b.piece.Lo:b.piece.Hi], h)
-		}
-	default:
-		h = e.gradGroup.ReduceScatterBF16Async(e.r, view, e.wire[sp.Lo:sp.Hi])
-		if e.replGroup != nil {
-			h = e.replGroup.AllReduceBF16AsyncAfter(e.r,
-				e.flatG[b.piece.Lo:b.piece.Hi], e.wire[b.piece.Lo:b.piece.Hi], h)
+			h = e.replGroup.AllReduce(e.r, e.flatG[b.piece.Lo:b.piece.Hi], e.wireOf(b.piece), h)
 		}
 	}
 	if !e.overlap {
@@ -256,6 +246,15 @@ func (e *syncEngine) finishBackward() {
 	})
 }
 
+// wireOf returns the bf16 wire scratch for sp, or nil (the fp32 wire)
+// when the run is fp32.
+func (e *syncEngine) wireOf(sp opt.Span) []uint16 {
+	if e.wire == nil {
+		return nil
+	}
+	return e.wire[sp.Lo:sp.Hi]
+}
+
 // gatherShard assembles the rank's reduced gradient shard (its owned
 // piece of every bucket) into the contiguous dst.
 func (e *syncEngine) gatherShard(dst []float32) {
@@ -269,11 +268,7 @@ func (e *syncEngine) gatherShard(dst []float32) {
 func (e *syncEngine) allGatherParams(flatW []float32) {
 	e.timer.comm(func() {
 		for _, b := range e.buckets {
-			if e.bf16 {
-				e.gradGroup.AllGatherBF16(e.r, flatW[b.span.Lo:b.span.Hi], nil, e.wire[b.span.Lo:b.span.Hi])
-			} else {
-				e.gradGroup.AllGather(e.r, flatW[b.span.Lo:b.span.Hi], nil)
-			}
+			e.gradGroup.AllGather(e.r, flatW[b.span.Lo:b.span.Hi], nil, e.wireOf(b.span)).Wait()
 		}
 	})
 }
