@@ -1,7 +1,7 @@
 # Developer entry points for the repro tree. CI runs vet+build+test, a
 # -race job over the distributed layer, the statgate static-analysis
-# gate (`make analyze`), and the docs gate (see
-# .github/workflows/ci.yml); `make bench` records the GEMM and
+# gate (`make analyze`), the docs gate and the benchmark correctness
+# smoke (`make bench-smoke`; see .github/workflows/ci.yml); `make bench` records the GEMM and
 # attention kernel throughput into BENCH_gemm.json, `make bench-dist`
 # the multi-rank training throughput into BENCH_dist.json, and `make
 # bench-serve` the inference-serving latency percentiles into
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-all race analyze docs bench bench-dist bench-serve calibrate
+.PHONY: build vet test test-all race analyze docs bench-smoke bench bench-dist bench-serve calibrate
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,17 @@ docs: analyze
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then echo "gofmt -l:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./tools/docgate
+
+# Benchmark correctness smoke: one short pretrain-base run untraced and
+# one traced; fails unless each run's final JSON line reports
+# "correct":true (loss reference, traced replica ≡ Pretrain bit for
+# bit, wire bytes). Timing is not checked.
+bench-smoke:
+	@for tr in 0 1; do \
+		line=$$(bash perfbench/run.sh --workload pretrain-base --seed 1 --seconds 1 --trace $$tr | tail -n 1); \
+		echo "$$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "bench-smoke: --trace $$tr run not correct"; exit 1 ;; esac; \
+	done
 
 bench:
 	$(GO) test -bench 'GEMM' -run NONE -benchtime 2s ./internal/tensor/ ./internal/nn/ > bench_gemm.out

@@ -1,8 +1,9 @@
 // Command pretrain runs MAE self-supervised pretraining of an analog
 // ViT on the procedural MillionAID corpus and writes a checkpoint.
-// With -ranks N it executes real N-rank data-parallel training over
-// in-process ring collectives (internal/dist) and reports the measured
-// communication next to the α–β model's prediction for the same calls.
+// Every run executes real data-parallel training over in-process ring
+// collectives (internal/dist) — -ranks 1, the default, is the one-rank
+// world — and reports the measured communication next to the α–β
+// model's prediction for the same calls.
 //
 // Usage:
 //
@@ -21,7 +22,7 @@
 // exposed-comm line shows what the overlap hid), and -accum N
 // accumulates N micro-batches per optimizer step with collectives
 // firing once per window. -strategy selects the synchronization
-// schedule — the paper's full Section III-C matrix:
+// schedule at any world size — the paper's full Section III-C matrix:
 //
 //	ddp       bucketed gradient all-reduce, replicated optimizer
 //	zero1     reduce-scattered gradients, rank-sharded AdamW state,
@@ -33,6 +34,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,29 +46,54 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "ViT-Base", "Table I model whose analog to train (ViT-Base, ViT-Huge, ViT-1B, ViT-3B)")
-	imageSize := flag.Int("image", 32, "image size of the procedural scenes")
-	patchSize := flag.Int("patch", 8, "ViT patch size")
-	channels := flag.Int("channels", 3, "image channels")
-	scale := flag.Int("scale", 10, "Table II sample-count divisor for the corpus")
-	epochs := flag.Int("epochs", 20, "pretraining epochs")
-	steps := flag.Int("steps", 40, "max steps per epoch (0 = full corpus)")
-	batch := flag.Int("batch", 16, "global batch size (split across ranks)")
-	lr := flag.Float64("lr", 0.02, "base learning rate (linear batch scaling applies)")
-	workers := flag.Int("workers", 4, "data loader workers per rank")
-	seed := flag.Uint64("seed", 1, "master seed")
-	ranks := flag.Int("ranks", 1, "data-parallel world size (in-process ranks)")
-	strategy := flag.String("strategy", "ddp", "gradient sync for -ranks > 1: "+acceptedStrategies)
-	precision := flag.String("precision", "fp32", "numeric mode: "+acceptedPrecisions)
-	overlap := flag.Bool("overlap", false, "launch gradient buckets during backward (communication-computation overlap; bitwise identical to the synchronous path)")
-	accum := flag.Int("accum", 1, "gradient-accumulation micro-steps per optimizer step (effective batch = -batch × -accum)")
-	profile := flag.String("profile", "", "hardware profile (hwprofile.json from cmd/calibrate); prices executed collectives with this host's measured α–β link instead of the default")
-	out := flag.String("out", "", "checkpoint output path (optional)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "pretrain:", err)
+		os.Exit(1)
+	}
+}
 
+// run parses the command line in args, trains, and writes the report
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pretrain", flag.ContinueOnError)
+	model := fs.String("model", "ViT-Base", "Table I model whose analog to train (ViT-Base, ViT-Huge, ViT-1B, ViT-3B)")
+	imageSize := fs.Int("image", 32, "image size of the procedural scenes")
+	patchSize := fs.Int("patch", 8, "ViT patch size")
+	channels := fs.Int("channels", 3, "image channels")
+	scale := fs.Int("scale", 10, "Table II sample-count divisor for the corpus")
+	epochs := fs.Int("epochs", 20, "pretraining epochs")
+	steps := fs.Int("steps", 40, "max steps per epoch (0 = full corpus)")
+	batch := fs.Int("batch", 16, "global batch size (split across ranks)")
+	lr := fs.Float64("lr", 0.02, "base learning rate (linear batch scaling applies)")
+	workers := fs.Int("workers", 4, "data loader workers per rank")
+	seed := fs.Uint64("seed", 1, "master seed")
+	ranks := fs.Int("ranks", 1, "data-parallel world size (in-process ranks)")
+	strategy := fs.String("strategy", "ddp", "gradient/optimizer sync strategy: "+acceptedStrategies)
+	precision := fs.String("precision", "fp32", "numeric mode: "+acceptedPrecisions)
+	overlap := fs.Bool("overlap", false, "launch gradient buckets during backward (communication-computation overlap; bitwise identical to the synchronous path)")
+	accum := fs.Int("accum", 1, "gradient-accumulation micro-steps per optimizer step (effective batch = -batch × -accum)")
+	profile := fs.String("profile", "", "hardware profile (hwprofile.json from cmd/calibrate); prices executed collectives with this host's measured α–β link instead of the default")
+	out := fs.String("out", "", "checkpoint output path (optional)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	// Resolve -strategy and -precision before any work so a typo fails
+	// fast.
+	plan, err := parsePlan(*strategy)
+	if err != nil {
+		return err
+	}
+	prec, err := parsePrecision(*precision)
+	if err != nil {
+		return err
+	}
 	enc, err := geofm.Analog(*model, *imageSize, *patchSize, *channels)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	suite := geofm.NewSuite(*scale, *imageSize, *channels, *seed)
 
@@ -77,62 +104,41 @@ func main() {
 	cfg.BaseLR = *lr
 	cfg.Workers = *workers
 	cfg.Seed = *seed
-	cfg.Log = os.Stdout
+	cfg.Log = stdout
 
-	fmt.Printf("pretraining %s (%d parameters) on %s (%d images)\n",
+	fmt.Fprintf(stdout, "pretraining %s (%d parameters) on %s (%d images)\n",
 		enc.Name, enc.EncoderParams(), suite.Pretrain.Name, suite.Pretrain.TrainCount)
-
-	// Resolve -strategy and -precision up front so a typo fails fast
-	// even at -ranks 1.
-	plan, err := parsePlan(*strategy)
-	if err != nil {
-		fatal(err)
-	}
-	prec, err := parsePrecision(*precision)
-	if err != nil {
-		fatal(err)
-	}
 
 	var link geofm.CommParams
 	if *profile != "" {
 		link, err = calibratedLink(*profile, prec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("calibrated link: %.1f MiB/s, launch %.1fµs (%s)\n",
+		fmt.Fprintf(stdout, "calibrated link: %.1f MiB/s, launch %.1fµs (%s)\n",
 			link.Bandwidth/(1<<20), link.Launch*1e6, *profile)
 	}
 
-	var res *geofm.PretrainResult
-	// BF16 is implemented by the distributed executor (master weights,
-	// loss scaling, bf16 wire), so it routes through it even at 1 rank.
-	if *ranks > 1 || prec == geofm.BF16 || *overlap || *accum > 1 {
-		dcfg := geofm.DistPretrainConfig{PretrainConfig: cfg, Ranks: *ranks, Plan: plan,
-			Precision: prec, Overlap: *overlap, AccumSteps: *accum, Link: link}
-		fmt.Printf("executing %d ranks, %s, %s, local batch %d, accum %d, overlap %v\n",
-			*ranks, plan.Name(), prec, *batch / *ranks, max(*accum, 1), *overlap)
-		dres, err := geofm.PretrainDistributed(dcfg, suite.Pretrain)
-		if err != nil {
-			fatal(err)
-		}
-		writeComm(os.Stdout, dres)
-		fmt.Println(dres.Breakdown(plan.Name()))
-		res = &dres.PretrainResult
-	} else {
-		res, err = geofm.Pretrain(cfg, suite.Pretrain)
-		if err != nil {
-			fatal(err)
-		}
+	dcfg := geofm.DistPretrainConfig{PretrainConfig: cfg, Ranks: *ranks, Plan: plan,
+		Precision: prec, Overlap: *overlap, AccumSteps: *accum, Link: link}
+	fmt.Fprintf(stdout, "executing %d ranks, %s, %s, local batch %d, accum %d, overlap %v\n",
+		*ranks, plan.Name(), prec, *batch/max(*ranks, 1), max(*accum, 1), *overlap)
+	res, err := geofm.PretrainDistributed(dcfg, suite.Pretrain)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("done: %d steps, final loss %.4f, %.1f images/s\n",
+	writeComm(stdout, res)
+	fmt.Fprintln(stdout, res.Breakdown(plan.Name()))
+	fmt.Fprintf(stdout, "done: %d steps, final loss %.4f, %.1f images/s\n",
 		res.Steps, res.LossCurve.Last(), res.ImagesPerSec)
 
 	if *out != "" {
 		if err := geofm.SaveCheckpoint(*out, res.Model.Params(), res.Steps); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("checkpoint written to %s\n", *out)
+		fmt.Fprintf(stdout, "checkpoint written to %s\n", *out)
 	}
+	return nil
 }
 
 // acceptedStrategies is the full -strategy vocabulary; parse errors
@@ -219,9 +225,4 @@ func writeComm(w io.Writer, res *geofm.DistPretrainResult) {
 			res.Comm.ReduceScatter.MeasuredWireBytes/steps, res.Traffic.ReduceScatterBytes,
 			res.Comm.AllGather.MeasuredWireBytes/steps, res.Traffic.AllGatherBytes)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pretrain:", err)
-	os.Exit(1)
 }

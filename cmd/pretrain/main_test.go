@@ -162,3 +162,45 @@ func TestCommTableGoldenBF16(t *testing.T) {
 		t.Errorf("comm table drifted from golden.\n--- got ---\n%s--- want ---\n%s", got, golden)
 	}
 }
+
+// TestRunHonorsStrategyAtOneRank: every run goes through the one
+// training loop, so -strategy takes effect at -ranks 1 too — a
+// single-rank zero1 run executes SHARD_GRAD_OP and reports its
+// collective table, rather than silently training DDP.
+func TestRunHonorsStrategyAtOneRank(t *testing.T) {
+	var out strings.Builder
+	args := []string{"-ranks", "1", "-strategy", "zero1", "-epochs", "1", "-steps", "2",
+		"-scale", "1000", "-image", "16", "-workers", "1"}
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"executing 1 ranks, SHARD_GRAD_OP, fp32",
+		"[1 ranks, SHARD_GRAD_OP, fp32]",
+		"collective traffic (1 ranks, 2 steps):",
+		"reduce-scatter",
+		"done: 2 steps",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRunRejectsBadFlags: flag, strategy and precision errors surface
+// as run's error before any training starts.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-strategy", "zero2"},
+		{"-precision", "fp16"},
+		{"-no-such-flag"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err == nil {
+			t.Errorf("run(%q) accepted it", args)
+		}
+		if strings.Contains(out.String(), "pretraining") {
+			t.Errorf("run(%q) started training:\n%s", args, out.String())
+		}
+	}
+}

@@ -46,6 +46,7 @@
 // FULL_SHARD (parameters resharded after forward and re-gathered in
 // backward), and HYBRID_kGPUs (FULL_SHARD inside k-rank shard groups,
 // gradient-shard all-reduce across world/k replica groups).
+// train.Pretrain is the one-rank case of the same loop.
 // An N-rank run reproduces the single-rank loss trajectory to within
 // float reassociation for every strategy, and every executed
 // collective is counted and simultaneously priced by the internal/comm

@@ -105,7 +105,9 @@ type PretrainResult = train.PretrainResult
 // 1.5e-4, weight decay 0.05, cosine schedule, 100 epochs).
 func DefaultPretrain(m MAEConfig) PretrainConfig { return train.DefaultPretrain(m) }
 
-// Pretrain runs MAE pretraining over the dataset's training split.
+// Pretrain runs MAE pretraining over the dataset's training split on
+// one rank: PretrainDistributed over a one-rank DDP world, the same
+// training loop every world size and strategy runs.
 func Pretrain(cfg PretrainConfig, ds *Dataset) (*PretrainResult, error) {
 	return train.Pretrain(cfg, ds)
 }

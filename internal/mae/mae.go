@@ -200,36 +200,14 @@ func (m *Model) Release() {
 	m.Encoder.Release()
 }
 
-// sampleMask draws a fresh random mask for each image: keep visible
-// indices sorted so token order within the encoder is stable.
-func (m *Model) sampleMask(batch int) {
-	t := m.Cfg.Encoder.Tokens()
-	keep := m.Cfg.KeepTokens()
-	if cap(m.keepIdx) < batch {
-		m.keepIdx = make([][]int, batch)
-		m.maskIdx = make([][]int, batch)
-	}
-	m.keepIdx = m.keepIdx[:batch]
-	m.maskIdx = m.maskIdx[:batch]
-	for b := 0; b < batch; b++ {
-		perm := m.maskRNG.Perm(t)
-		kept := append([]int(nil), perm[:keep]...)
-		masked := append([]int(nil), perm[keep:]...)
-		insertionSort(kept)
-		insertionSort(masked)
-		m.keepIdx[b] = kept
-		m.maskIdx[b] = masked
-	}
-}
-
 // DrawMasks advances the model's private mask stream by one batch and
 // returns the per-image visible-token index lists (sorted), without
-// running the model. It consumes the stream exactly as one Step(·,
-// batch) call would, which is what multi-rank data-parallel training
-// relies on: every rank holds a seed-identical replica, draws the masks
-// for the whole global batch, and keeps only its local slice (via
-// StepWithMask) — so the mask sequence, and hence the loss trajectory,
-// matches the single-rank run.
+// running the model. It is the model's one mask sampler: Step, Loss
+// and Reconstruct draw through it, and multi-rank data-parallel
+// training relies on that — every rank holds a seed-identical replica,
+// draws the masks for the whole global batch, and keeps only its local
+// slice (DrawMasksRange) — so the mask sequence, and hence the loss
+// trajectory, matches the single-rank run.
 func (m *Model) DrawMasks(batch int) [][]int {
 	return m.DrawMasksRange(batch, 0, batch)
 }
@@ -251,7 +229,7 @@ func (m *Model) DrawMasksRange(batch, lo, hi int) [][]int {
 		for i := range scratch {
 			scratch[i] = i
 		}
-		m.maskRNG.Shuffle(scratch) // same draws as sampleMask's Perm
+		m.maskRNG.Shuffle(scratch)
 		if b < lo || b >= hi {
 			continue
 		}
@@ -273,8 +251,10 @@ func (m *Model) SkipMasks(batches, batch int) {
 	}
 }
 
-// SetMask overrides the random mask with explicit per-image visible
-// indices; used by tests for reproducible gradient checks.
+// SetMask installs explicit per-image visible indices (sorted) as the
+// mask of the next forward pass and derives the masked complement.
+// Step, Loss and Reconstruct install a fresh DrawMasks draw through it;
+// tests pass fixed masks for reproducible gradient checks.
 func (m *Model) SetMask(keep [][]int) {
 	t := m.Cfg.Encoder.Tokens()
 	m.keepIdx = keep
@@ -298,7 +278,7 @@ func (m *Model) SetMask(keep [][]int) {
 // with a fresh random mask and returns the reconstruction loss.
 // Gradients are not computed; use Step for training.
 func (m *Model) Loss(imgs []float32, batch int) float64 {
-	m.sampleMask(batch)
+	m.SetMask(m.DrawMasks(batch))
 	return m.forward(imgs, batch)
 }
 
@@ -306,7 +286,7 @@ func (m *Model) Loss(imgs []float32, batch int) float64 {
 // accumulating parameter gradients, and returns the loss. Callers zero
 // gradients and apply the optimizer.
 func (m *Model) Step(imgs []float32, batch int) float64 {
-	m.sampleMask(batch)
+	m.SetMask(m.DrawMasks(batch))
 	loss := m.forward(imgs, batch)
 	m.backward(batch)
 	return loss
@@ -612,7 +592,7 @@ func (m *Model) BackwardFeatures(dPooled []float32) {
 // full predicted patch matrix (batch·T × patchDim) together with the
 // per-image masked indices. Intended for examples/visualization.
 func (m *Model) Reconstruct(imgs []float32, batch int) ([]float32, [][]int) {
-	m.sampleMask(batch)
+	m.SetMask(m.DrawMasks(batch))
 	m.forward(imgs, batch)
 	return append([]float32(nil), m.pred...), m.maskIdx
 }

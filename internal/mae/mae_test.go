@@ -76,7 +76,7 @@ func TestMaskCoverage(t *testing.T) {
 	c := tinyCfg()
 	m := New(c, rng.New(2))
 	const batch = 3
-	m.sampleMask(batch)
+	m.SetMask(m.DrawMasks(batch))
 	tk := c.Encoder.Tokens()
 	for b := 0; b < batch; b++ {
 		seen := make([]bool, tk)
@@ -109,11 +109,11 @@ func TestMaskCoverage(t *testing.T) {
 func TestMasksVaryAcrossSteps(t *testing.T) {
 	c := tinyCfg()
 	m := New(c, rng.New(3))
-	m.sampleMask(1)
+	m.SetMask(m.DrawMasks(1))
 	first := append([]int(nil), m.keepIdx[0]...)
 	varied := false
 	for i := 0; i < 10; i++ {
-		m.sampleMask(1)
+		m.SetMask(m.DrawMasks(1))
 		for j := range first {
 			if m.keepIdx[0][j] != first[j] {
 				varied = true

@@ -23,9 +23,9 @@ import (
 // DistConfig configures real multi-rank pretraining over internal/dist.
 // The embedded PretrainConfig is interpreted globally: BatchSize is the
 // global batch (split evenly across ranks), and the learning-rate
-// schedule, epochs and clipping act exactly as in the single-rank
-// Pretrain — an N-rank run reproduces the single-rank loss trajectory
-// up to the floating-point reassociation of the ring reductions.
+// schedule, epochs and clipping are the same at every world size — an
+// N-rank run reproduces the one-rank loss trajectory (Pretrain) up to
+// the floating-point reassociation of the ring reductions.
 type DistConfig struct {
 	PretrainConfig
 	// Ranks is the data-parallel world size (in-process goroutine
@@ -239,6 +239,63 @@ func compilePlan(plan fsdp.Plan, ranks int) (execMode, int, error) {
 	}
 }
 
+// withPlanDefaults fills a plan's defaults: the zero plan is
+// fsdp.DefaultDDP, and a DDP plan without a bucket size gets DDP's
+// default one.
+func withPlanDefaults(plan fsdp.Plan) fsdp.Plan {
+	if plan == (fsdp.Plan{}) {
+		return fsdp.DefaultDDP()
+	}
+	if plan.Strategy == fsdp.DDP && plan.DDPBucketBytes <= 0 {
+		plan.DDPBucketBytes = fsdp.DefaultDDP().DDPBucketBytes
+	}
+	return plan
+}
+
+// checkConfig runs every check of cfg that needs no dataset and
+// compiles its plan (defaults filled) into the executed schedule and
+// shard-group size. PretrainDistributed and WorkloadFor both call it,
+// so the two accept exactly the same configurations.
+func checkConfig(cfg DistConfig) (plan fsdp.Plan, mode execMode, group int, err error) {
+	if err := cfg.MAE.Validate(); err != nil {
+		return plan, 0, 0, fmt.Errorf("train: %w", err)
+	}
+	if cfg.Ranks < 1 {
+		return plan, 0, 0, fmt.Errorf("train: non-positive rank count %d", cfg.Ranks)
+	}
+	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
+		return plan, 0, 0, fmt.Errorf("train: non-positive batch size or epochs")
+	}
+	if cfg.BatchSize%cfg.Ranks != 0 {
+		return plan, 0, 0, fmt.Errorf("train: global batch %d not divisible by %d ranks", cfg.BatchSize, cfg.Ranks)
+	}
+	if !cfg.Precision.valid() {
+		return plan, 0, 0, fmt.Errorf("train: unknown precision %v", cfg.Precision)
+	}
+	if cfg.AccumSteps < 0 || cfg.BucketBytes < 0 || cfg.Throttle < 0 {
+		return plan, 0, 0, fmt.Errorf("train: negative AccumSteps, BucketBytes or Throttle")
+	}
+	if cfg.Fault.Armed() && (cfg.Fault.Rank < 0 || cfg.Fault.Rank >= cfg.Ranks) {
+		return plan, 0, 0, fmt.Errorf("train: fault plan targets rank %d of a %d-rank world", cfg.Fault.Rank, cfg.Ranks)
+	}
+	for rk, s := range cfg.ThrottleSkew {
+		if rk < 0 || rk >= cfg.Ranks {
+			return plan, 0, 0, fmt.Errorf("train: throttle skew targets rank %d of a %d-rank world", rk, cfg.Ranks)
+		}
+		if s <= 0 {
+			return plan, 0, 0, fmt.Errorf("train: non-positive throttle skew %g for rank %d", s, rk)
+		}
+	}
+	plan = withPlanDefaults(cfg.Plan)
+	if mode, group, err = compilePlan(plan, cfg.Ranks); err != nil {
+		return plan, 0, 0, err
+	}
+	if err := plan.Validate(cfg.Ranks); err != nil {
+		return plan, 0, 0, fmt.Errorf("train: %w", err)
+	}
+	return plan, mode, group, nil
+}
+
 // PretrainDistributed runs MAE pretraining SPMD across cfg.Ranks
 // in-process ranks: seed-identical replicas synchronized by a parameter
 // broadcast at init, a rank-sharded sampler over the same global batch
@@ -265,42 +322,11 @@ func compilePlan(plan fsdp.Plan, ranks int) (execMode, int, error) {
 // trajectories, and measured wire bytes stay exactly equal to
 // fsdp.TrafficPerStep per optimizer step.
 func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, error) {
-	if err := cfg.MAE.Validate(); err != nil {
-		return nil, fmt.Errorf("train: %w", err)
-	}
-	if cfg.Ranks < 1 {
-		return nil, fmt.Errorf("train: non-positive rank count %d", cfg.Ranks)
-	}
-	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
-		return nil, fmt.Errorf("train: non-positive batch size or epochs")
-	}
-	if cfg.BatchSize%cfg.Ranks != 0 {
-		return nil, fmt.Errorf("train: global batch %d not divisible by %d ranks", cfg.BatchSize, cfg.Ranks)
-	}
-	if !cfg.Precision.valid() {
-		return nil, fmt.Errorf("train: unknown precision %v", cfg.Precision)
-	}
-	if cfg.AccumSteps < 0 || cfg.BucketBytes < 0 || cfg.Throttle < 0 {
-		return nil, fmt.Errorf("train: negative AccumSteps, BucketBytes or Throttle")
-	}
-	accum := cfg.AccumSteps
-	if accum < 1 {
-		accum = 1
-	}
-	plan := cfg.Plan
-	if plan == (fsdp.Plan{}) {
-		plan = fsdp.DefaultDDP()
-	}
-	if plan.Strategy == fsdp.DDP && plan.DDPBucketBytes <= 0 {
-		plan.DDPBucketBytes = fsdp.DefaultDDP().DDPBucketBytes
-	}
-	mode, group, err := compilePlan(plan, cfg.Ranks)
+	plan, mode, group, err := checkConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.Validate(cfg.Ranks); err != nil {
-		return nil, fmt.Errorf("train: %w", err)
-	}
+	accum := max(cfg.AccumSteps, 1)
 
 	n := cfg.Ranks
 	local := cfg.BatchSize / n
@@ -341,17 +367,6 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 				resume.Strategy, plan.Name())
 		}
 		startEpoch = resume.Epoch
-	}
-	if cfg.Fault.Armed() && (cfg.Fault.Rank < 0 || cfg.Fault.Rank >= cfg.Ranks) {
-		return nil, fmt.Errorf("train: fault plan targets rank %d of a %d-rank world", cfg.Fault.Rank, cfg.Ranks)
-	}
-	for rk, s := range cfg.ThrottleSkew {
-		if rk < 0 || rk >= cfg.Ranks {
-			return nil, fmt.Errorf("train: throttle skew targets rank %d of a %d-rank world", rk, cfg.Ranks)
-		}
-		if s <= 0 {
-			return nil, fmt.Errorf("train: non-positive throttle skew %g for rank %d", s, rk)
-		}
 	}
 	lastEpoch := cfg.Epochs
 	if cfg.StopAfterEpoch > 0 && cfg.StopAfterEpoch < cfg.Epochs {
@@ -439,13 +454,16 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 		}
 		padded := part.Padded
 
+		// The init broadcast borrows the gradient buffer: every step
+		// repacks flatG[:dim] before reading it, and the broadcast leaves
+		// the pad tail zero.
+		flatG := make([]float32, padded)
 		if resume == nil {
-			initBuf := make([]float32, dim)
 			if r.ID() == 0 {
-				opt.PackValues(initBuf, params)
+				opt.PackValues(flatG[:dim], params)
 			}
-			world.Group().Broadcast(r, initBuf, 0).Wait()
-			opt.UnpackValues(params, initBuf)
+			world.Group().Broadcast(r, flatG[:dim], 0).Wait()
+			opt.UnpackValues(params, flatG[:dim])
 		} else {
 			// Every rank restores the identical fp32 master snapshot
 			// and fast-forwards the deterministic mask stream past the
@@ -455,7 +473,6 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 			model.SkipMasks(resume.Step*accum, cfg.BatchSize)
 		}
 
-		flatG := make([]float32, padded)
 		var wire []uint16
 		if bf16 {
 			wire = make([]uint16, padded)

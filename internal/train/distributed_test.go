@@ -32,14 +32,12 @@ func relClose(a, b, tol float64) bool {
 
 // TestDistributedMatchesSingleRank is the acceptance bar of the
 // distributed layer: a 4-rank DDP run must reproduce the single-rank
-// Pretrain loss trajectory — same data order, same masks, gradients
-// averaged to the same global mean — with the final loss within 1e-4.
+// loss trajectory of referencePretrain — same data order, same masks,
+// gradients averaged to the same global mean — with the final loss
+// within 1e-4.
 func TestDistributedMatchesSingleRank(t *testing.T) {
 	dcfg := tinyDistConfig(4, fsdp.DefaultDDP())
-	ref, err := Pretrain(dcfg.PretrainConfig, tinyDataset(64))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referencePretrain(dcfg.PretrainConfig, tinyDataset(64))
 	got, err := PretrainDistributed(dcfg, tinyDataset(64))
 	if err != nil {
 		t.Fatal(err)
@@ -150,22 +148,40 @@ func TestDistTrafficMatchesSimulator(t *testing.T) {
 }
 
 // TestSingleRankDistributedMatchesPretrain: the degenerate world runs
-// the very same arithmetic as Pretrain (collectives are no-ops), so the
-// curves must match bit-for-bit.
+// the very same arithmetic as the plain single-rank loop
+// (referencePretrain; collectives are no-ops), so the loss curves and
+// the trained parameters must match bit-for-bit — through
+// PretrainDistributed and through its Pretrain wrapper alike.
 func TestSingleRankDistributedMatchesPretrain(t *testing.T) {
 	dcfg := tinyDistConfig(1, fsdp.DefaultDDP())
-	ref, err := Pretrain(dcfg.PretrainConfig, tinyDataset(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referencePretrain(dcfg.PretrainConfig, tinyDataset(32))
 	got, err := PretrainDistributed(dcfg, tinyDataset(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref.LossCurve.Y {
-		if got.LossCurve.Y[i] != ref.LossCurve.Y[i] {
-			t.Fatalf("1-rank distributed differs from Pretrain at step %d: %v vs %v",
-				i, got.LossCurve.Y[i], ref.LossCurve.Y[i])
+	wrapped, err := Pretrain(dcfg.PretrainConfig, tinyDataset(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*PretrainResult{"PretrainDistributed": &got.PretrainResult, "Pretrain": wrapped} {
+		if res.Steps != ref.Steps || len(res.LossCurve.Y) != len(ref.LossCurve.Y) {
+			t.Fatalf("%s: %d steps, %d losses; reference %d, %d",
+				name, res.Steps, len(res.LossCurve.Y), ref.Steps, len(ref.LossCurve.Y))
+		}
+		for i := range ref.LossCurve.Y {
+			if math.Float64bits(res.LossCurve.Y[i]) != math.Float64bits(ref.LossCurve.Y[i]) {
+				t.Fatalf("%s differs from the reference loop at step %d: %v vs %v",
+					name, i, res.LossCurve.Y[i], ref.LossCurve.Y[i])
+			}
+		}
+		dim := opt.FlatDim(ref.Model.Params())
+		want, have := make([]float32, dim), make([]float32, dim)
+		opt.PackValues(want, ref.Model.Params())
+		opt.PackValues(have, res.Model.Params())
+		for j := range want {
+			if math.Float32bits(have[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("%s: parameter %d is %v, reference loop %v", name, j, have[j], want[j])
+			}
 		}
 	}
 	if got.Traffic.Total() != 0 || got.Comm.AllReduce.MeasuredWireBytes != 0 {
@@ -174,23 +190,45 @@ func TestSingleRankDistributedMatchesPretrain(t *testing.T) {
 }
 
 // TestDistributedRejectsInvalidPlans: configurations the executor
-// cannot honor fail fast before any rank spawns.
+// cannot honor fail fast before any rank spawns, and WorkloadFor —
+// which shares the executor's configuration check — rejects every one
+// of them too.
 func TestDistributedRejectsInvalidPlans(t *testing.T) {
-	// A hybrid group that does not divide the world.
-	if _, err := PretrainDistributed(tinyDistConfig(4, fsdp.BestPractice(fsdp.HybridShard, 3)), tinyDataset(64)); err == nil {
-		t.Error("HYBRID_3GPUs on 4 ranks: expected an error")
+	cases := []struct {
+		name string
+		cfg  DistConfig
+	}{
+		{"HYBRID_3GPUs on 4 ranks", tinyDistConfig(4, fsdp.BestPractice(fsdp.HybridShard, 3))},
+		{"HYBRID with zero group", tinyDistConfig(4, fsdp.Plan{Strategy: fsdp.HybridShard})},
+		{"unknown strategy", tinyDistConfig(4, fsdp.Plan{Strategy: fsdp.Strategy(99)})},
+		{"batch 8 on 3 ranks", tinyDistConfig(3, fsdp.DefaultDDP())},
+		{"zero ranks", tinyDistConfig(0, fsdp.DefaultDDP())},
+		{"negative AccumSteps", func() DistConfig {
+			c := tinyDistConfig(2, fsdp.DefaultDDP())
+			c.AccumSteps = -1
+			return c
+		}()},
+		{"unknown precision", func() DistConfig {
+			c := tinyDistConfig(2, fsdp.DefaultDDP())
+			c.Precision = Precision(7)
+			return c
+		}()},
+		{"zero epochs", func() DistConfig {
+			c := tinyDistConfig(2, fsdp.DefaultDDP())
+			c.Epochs = 0
+			return c
+		}()},
 	}
-	// A non-positive hybrid group.
-	if _, err := PretrainDistributed(tinyDistConfig(4, fsdp.Plan{Strategy: fsdp.HybridShard}), tinyDataset(64)); err == nil {
-		t.Error("HYBRID with zero group: expected an error")
+	for _, c := range cases {
+		if _, err := PretrainDistributed(c.cfg, tinyDataset(64)); err == nil {
+			t.Errorf("%s: PretrainDistributed accepted it", c.name)
+		}
+		if _, err := WorkloadFor(c.cfg); err == nil {
+			t.Errorf("%s: WorkloadFor accepted it", c.name)
+		}
 	}
-	// An unknown strategy value.
-	if _, err := PretrainDistributed(tinyDistConfig(4, fsdp.Plan{Strategy: fsdp.Strategy(99)}), tinyDataset(64)); err == nil {
-		t.Error("unknown strategy: expected an error")
-	}
-	// Batch not divisible by ranks.
-	cfg := tinyDistConfig(3, fsdp.DefaultDDP())
-	if _, err := PretrainDistributed(cfg, tinyDataset(64)); err == nil {
-		t.Error("expected error for 8 % 3 != 0")
+	// The valid base configuration passes both.
+	if _, err := WorkloadFor(tinyDistConfig(4, fsdp.BestPractice(fsdp.HybridShard, 2))); err != nil {
+		t.Errorf("WorkloadFor rejected a valid HYBRID_2GPUs plan: %v", err)
 	}
 }

@@ -54,12 +54,7 @@ func Reshard(st *TrainState, ranks int, plan fsdp.Plan) (*TrainState, error) {
 		return nil, fmt.Errorf("train: state moments (%d/%d values) do not match master (%d)",
 			len(st.OptM), len(st.OptV), dim)
 	}
-	if plan == (fsdp.Plan{}) {
-		plan = fsdp.DefaultDDP()
-	}
-	if plan.Strategy == fsdp.DDP && plan.DDPBucketBytes <= 0 {
-		plan.DDPBucketBytes = fsdp.DefaultDDP().DDPBucketBytes
-	}
+	plan = withPlanDefaults(plan)
 	if _, err := partitionFor(plan, ranks, dim); err != nil {
 		return nil, err
 	}

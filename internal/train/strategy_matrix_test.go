@@ -25,7 +25,7 @@ func matrixPlans() []fsdp.Plan {
 
 // TestStrategyMatrix is the acceptance bar of the full strategy matrix:
 // every strategy × world-size combination must (a) reproduce the
-// single-rank Pretrain loss trajectory within 1e-4 at every step,
+// single-rank reference loss trajectory within 1e-4 at every step,
 // (b) leave every rank's replica bit-identical — which for the hybrid
 // strategies includes replicas in *different* shard groups, so the
 // replica-group all-reduce provably completes the global gradient —
@@ -34,10 +34,7 @@ func matrixPlans() []fsdp.Plan {
 func TestStrategyMatrix(t *testing.T) {
 	base := tinyDistConfig(1, fsdp.DefaultDDP())
 	base.Epochs = 2
-	ref, err := Pretrain(base.PretrainConfig, tinyDataset(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referencePretrain(base.PretrainConfig, tinyDataset(32))
 	for _, world := range []int{2, 4, 8} {
 		for _, plan := range matrixPlans() {
 			if plan.Strategy == fsdp.HybridShard && world%plan.GroupSize != 0 {
@@ -129,11 +126,7 @@ func TestStrategyMatrixOverlapAccum(t *testing.T) {
 		base.Epochs = 2
 		base.MaxStepsPerEpoch = 2
 		base.BatchSize = 8 * accum
-		ref, err := Pretrain(base.PretrainConfig, tinyDataset(64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[accum] = ref
+		refs[accum] = referencePretrain(base.PretrainConfig, tinyDataset(64))
 	}
 
 	run := func(plan fsdp.Plan, prec Precision, accum int, overlap bool) *DistResult {

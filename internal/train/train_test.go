@@ -5,9 +5,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dataload"
 	"repro/internal/geodata"
 	"repro/internal/mae"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/vit"
 )
@@ -21,6 +23,45 @@ func tinyMAE() mae.Config {
 func tinyDataset(count int) *geodata.Dataset {
 	gen := geodata.NewSceneGen(4, 12, 3, 11)
 	return &geodata.Dataset{Name: "tiny", Gen: gen, TrainCount: count, TestCount: count / 2}
+}
+
+// referencePretrain is the plain single-rank training loop — ZeroGrads,
+// Step, ClipGradNorm and AdamW.Step under the cosine schedule, over the
+// unsharded loader — kept as an oracle that shares none of
+// PretrainDistributed's flat-buffer, collective or sharding machinery.
+// It fills Model, LossCurve and Steps.
+func referencePretrain(cfg PretrainConfig, ds *geodata.Dataset) *PretrainResult {
+	model := mae.New(cfg.MAE, rng.New(cfg.Seed))
+	params := model.Params()
+	optim := opt.NewAdamW(params, cfg.WeightDecay)
+	spe := ds.TrainCount / cfg.BatchSize
+	if cfg.MaxStepsPerEpoch > 0 {
+		spe = min(spe, cfg.MaxStepsPerEpoch)
+	}
+	sched := opt.CosineSchedule{
+		Base:        opt.ScaledLR(cfg.BaseLR, cfg.BatchSize),
+		WarmupSteps: cfg.WarmupEpochs * spe,
+		TotalSteps:  cfg.Epochs * spe,
+	}
+	loader := dataload.New(
+		dataload.TrainSplit{D: ds, Count: ds.TrainCount, ImgLen: ds.Gen.ImageLen()},
+		dataload.Config{BatchSize: cfg.BatchSize, Workers: cfg.Workers, Shuffle: true, DropLast: true,
+			Seed: cfg.Seed ^ 0xDA7A})
+	res := &PretrainResult{Model: model}
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		for batch := range loader.EpochN(spe) {
+			nn.ZeroGrads(params)
+			loss := model.Step(batch.Images, batch.Size)
+			if cfg.ClipNorm > 0 {
+				nn.ClipGradNorm(params, cfg.ClipNorm)
+			}
+			optim.Step(sched.LR(res.Steps))
+			loader.Recycle(batch)
+			res.LossCurve.Append(float64(res.Steps), loss)
+			res.Steps++
+		}
+	}
+	return res
 }
 
 func TestPretrainLossDecreases(t *testing.T) {

@@ -1,10 +1,6 @@
 package train
 
-import (
-	"fmt"
-
-	"repro/internal/perfmodel"
-)
+import "repro/internal/perfmodel"
 
 // WorkloadFor maps a DistConfig onto the perfmodel workload describing
 // exactly what PretrainDistributed executes per rank and optimizer
@@ -19,19 +15,13 @@ import (
 // Gradient accumulation is intentionally absent: the workload describes
 // one micro-step's compute and one optimizer step's communication, the
 // same convention as fsdp.TrafficPerStep.
+//
+// WorkloadFor runs PretrainDistributed's configuration check, so it
+// rejects every configuration the executor rejects before it reads the
+// dataset.
 func WorkloadFor(cfg DistConfig) (perfmodel.Workload, error) {
-	if err := cfg.MAE.Validate(); err != nil {
-		return perfmodel.Workload{}, fmt.Errorf("train: %w", err)
-	}
-	if cfg.Ranks < 1 {
-		return perfmodel.Workload{}, fmt.Errorf("train: non-positive rank count %d", cfg.Ranks)
-	}
-	if cfg.BatchSize <= 0 || cfg.BatchSize%cfg.Ranks != 0 {
-		return perfmodel.Workload{}, fmt.Errorf("train: global batch %d not divisible by %d ranks",
-			cfg.BatchSize, cfg.Ranks)
-	}
-	if !cfg.Precision.valid() {
-		return perfmodel.Workload{}, fmt.Errorf("train: unknown precision %v", cfg.Precision)
+	if _, _, _, err := checkConfig(cfg); err != nil {
+		return perfmodel.Workload{}, err
 	}
 	prec := perfmodel.FP32Precision()
 	if cfg.Precision == BF16 {
