@@ -45,3 +45,22 @@ func TestParsePlanNameRejects(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePlanName: any label either fails or parses to a plan whose
+// Name is that label — never a panic. Seeded with every name the
+// round-trip test covers and the rejected labels.
+func FuzzParsePlanName(f *testing.F) {
+	for _, name := range []string{
+		"DDP", "NO_SHARD", "FULL_SHARD", "SHARD_GRAD_OP", "HYBRID_1GPU",
+		"HYBRID_2GPUs", "HYBRID_8GPUs", "", "HYBRID_0GPUs", "HYBRID_-2GPUs",
+		"HYBRID_1GPUs", "HYBRID_02GPUs", "HYBRID_2GPUsX", "HYBRID_99999999999999999999GPUs",
+	} {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := ParsePlanName(name)
+		if err == nil && p.Name() != name {
+			t.Fatalf("ParsePlanName(%q) = %+v, which is named %q", name, p, p.Name())
+		}
+	})
+}

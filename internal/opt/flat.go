@@ -8,14 +8,15 @@ import (
 )
 
 // This file provides the flat-tensor view of a parameter set that the
-// distributed training path (internal/train.PretrainDistributed over
-// internal/dist) shards collectives and optimizer state on: parameters
-// and gradients are packed into one contiguous []float32 in parameter
-// order, padded so the flat length divides evenly across ranks
-// (Partition describes the shard layout, including HYBRID_SHARD's
-// two-level alignment), and a ShardedAdamW instance owns the Adam
-// moments for just one rank's contiguous shard — the ZeRO-1/ZeRO-3
-// partitioning of optimizer state.
+// training loop (internal/train.PretrainDistributed over internal/dist)
+// shards collectives and optimizer state on: parameters and gradients
+// are packed into one contiguous []float32 in parameter order, padded
+// so the flat length divides evenly across ranks (Partition describes
+// the shard layout, including HYBRID_SHARD's two-level alignment), and
+// a ShardedAdamW instance owns the Adam moments for the flat spans one
+// rank updates. It is the training loop's only optimizer: spans tiling
+// the whole padded space when the state is replicated, a rank's chunk
+// of every gradient bucket under ZeRO-1/ZeRO-3 sharding.
 
 // FlatDim returns the total element count across params — the length
 // of the packed flat vector before padding.
@@ -83,28 +84,6 @@ func (p Partition) Range(i int) (lo, hi int) {
 	return i * p.ShardLen, (i + 1) * p.ShardLen
 }
 
-// Shard returns shard i of a padded flat buffer as a view.
-func (p Partition) Shard(buf []float32, i int) []float32 {
-	if len(buf) != p.Padded {
-		panic(fmt.Sprintf("opt: buffer length %d, partition wants %d", len(buf), p.Padded))
-	}
-	lo, hi := p.Range(i)
-	return buf[lo:hi]
-}
-
-// ScrubOutside zeroes buf outside [lo, hi) — the executed analog of
-// FSDP freeing non-owned parameter shards when a unit is resharded
-// after forward: the subsequent backward all-gather must genuinely
-// restore the dropped values, so a test of the trained trajectory is a
-// test of the collective.
-func ScrubOutside(buf []float32, lo, hi int) {
-	if lo < 0 || hi < lo || hi > len(buf) {
-		panic(fmt.Sprintf("opt: scrub range [%d, %d) of %d", lo, hi, len(buf)))
-	}
-	clear(buf[:lo])
-	clear(buf[hi:])
-}
-
 // Span is one contiguous flat range [Lo, Hi). Bucket-granular
 // gradient synchronization (train.PretrainDistributed with gradient
 // buckets) shards each bucket independently, so a rank's ownership is
@@ -136,8 +115,11 @@ func checkSpans(spans []Span, limit int) {
 }
 
 // ScrubOutsideSpans zeroes buf everywhere outside the given spans
-// (ascending, disjoint) — ScrubOutside generalized to bucket-granular
-// ownership.
+// (ascending, disjoint) — the executed analog of FSDP freeing
+// non-owned parameter shards when a unit is resharded after forward:
+// the subsequent backward all-gather must genuinely restore the
+// dropped values, so a test of the trained trajectory is a test of the
+// collective.
 func ScrubOutsideSpans(buf []float32, spans []Span) {
 	checkSpans(spans, len(buf))
 	at := 0
@@ -210,12 +192,6 @@ func PackGradsSpan(dst []float32, params []*nn.Param, lo, hi int) {
 	}
 }
 
-// UnpackGrads copies the packed flat gradient back into every
-// parameter's gradient tensor.
-func UnpackGrads(params []*nn.Param, src []float32) {
-	unpackTensors(src, params, func(p *nn.Param) []float32 { return p.Grad.Data })
-}
-
 // PackValues copies every parameter's value into dst in parameter
 // order.
 func PackValues(dst []float32, params []*nn.Param) {
@@ -252,73 +228,54 @@ func unpackTensors(src []float32, params []*nn.Param, field func(*nn.Param) []fl
 	}
 }
 
-// ShardedAdamW is AdamW restricted to one contiguous shard [Lo, Hi) of
-// the flat parameter space — the ZeRO-1 optimizer: each rank holds the
-// first and second Adam moments only for its own shard, updates only
-// that slice of the flat weights, and the ranks' updated shards are
-// re-assembled with an all-gather. The update arithmetic is identical,
-// element for element, to AdamW.Step, including the per-parameter
-// NoWeightDecay exclusions (captured at construction as a 0/1 decay
-// mask over the shard) and the shared step count for bias correction.
+// ShardedAdamW is AdamW restricted to a list of owned flat spans —
+// the ZeRO-1 optimizer when the spans are one rank's shard: each rank
+// holds the first and second Adam moments only for its own spans,
+// updates only those elements of the flat weights, and the ranks'
+// updated shards are re-assembled with an all-gather. With spans
+// tiling [0, padded) it is the replicated optimizer. The update
+// arithmetic is identical, element for element, to AdamW.Step,
+// including the per-parameter NoWeightDecay exclusions (captured at
+// construction as a 0/1 decay mask over the spans) and the shared step
+// count for bias correction. Spans may extend past FlatDim into
+// padding; pad elements carry a zero decay mask and zero gradients, so
+// they stay zero.
 type ShardedAdamW struct {
 	Beta1, Beta2 float64
 	Eps          float64
 	WeightDecay  float64
 
-	// Lo and Hi bound the shard in flat coordinates (for bucket-
-	// granular ownership they bound the union of the spans). Hi may
-	// extend past FlatDim into padding; pad elements carry a zero decay
-	// mask and zero gradients, so they stay zero.
-	Lo, Hi int
-
-	// spans is the owned flat ranges in ascending order; the moment and
-	// decay buffers are their concatenation (shard-local coordinates).
-	spans []Span
-	n     int
-
+	// m, v and decay are in shard-local coordinates: the concatenation
+	// of the owned spans in order.
 	m, v  []float32
 	decay []float32 // 1 where decoupled weight decay applies, else 0
 	t     int
 }
 
-// NewShardedAdamW constructs the shard optimizer for flat range
-// [lo, hi) over params, with the same hyper-parameters as NewAdamW
-// (β₁=0.9, β₂=0.95, ε=1e-8).
-func NewShardedAdamW(params []*nn.Param, weightDecay float64, lo, hi int) *ShardedAdamW {
-	if lo < 0 || hi < lo {
-		panic(fmt.Sprintf("opt: sharded adamw range [%d, %d)", lo, hi))
-	}
-	return NewShardedAdamWSpans(params, weightDecay, []Span{{lo, hi}})
-}
-
-// NewShardedAdamWSpans constructs the shard optimizer for the given
-// owned flat spans (ascending, disjoint) — the bucket-granular
-// ownership of the overlapped executor, where a rank holds chunk i of
-// every gradient bucket. Moments and the weight-decay mask live in
-// shard-local coordinates: the concatenation of the spans in order,
-// exactly the layout GatherSpans produces.
+// NewShardedAdamWSpans constructs the optimizer for the given owned
+// flat spans (ascending, disjoint), with the same hyper-parameters as
+// NewAdamW (β₁=0.9, β₂=0.95, ε=1e-8). Moments and the weight-decay
+// mask live in shard-local coordinates: the concatenation of the spans
+// in order, exactly the layout GatherSpans produces.
 func NewShardedAdamWSpans(params []*nn.Param, weightDecay float64, spans []Span) *ShardedAdamW {
 	if len(spans) == 0 {
 		panic("opt: sharded adamw with no spans")
 	}
+	checkSpans(spans, spans[len(spans)-1].Hi)
 	total := SpansLen(spans)
 	a := &ShardedAdamW{
 		Beta1: adamwBeta1, Beta2: adamwBeta2, Eps: adamwEps,
 		WeightDecay: weightDecay,
-		Lo:          spans[0].Lo, Hi: spans[len(spans)-1].Hi,
-		spans: append([]Span(nil), spans...),
-		n:     total,
-		m:     make([]float32, total),
-		v:     make([]float32, total),
-		decay: make([]float32, total),
+		m:           make([]float32, total),
+		v:           make([]float32, total),
+		decay:       make([]float32, total),
 	}
-	checkSpans(a.spans, a.Hi)
 	off := 0
 	for _, p := range params {
 		n := p.NumEl()
 		if !p.NoWeightDecay {
 			local := 0
-			for _, sp := range a.spans {
+			for _, sp := range spans {
 				// Mark the overlap of [off, off+n) with the span, in
 				// shard-local coordinates.
 				s, e := max(off, sp.Lo), min(off+n, sp.Hi)
@@ -333,9 +290,6 @@ func NewShardedAdamWSpans(params []*nn.Param, weightDecay float64, spans []Span)
 	return a
 }
 
-// Spans returns the owned flat ranges in ascending order.
-func (a *ShardedAdamW) Spans() []Span { return append([]Span(nil), a.spans...) }
-
 // StepCount returns how many updates have been applied.
 func (a *ShardedAdamW) StepCount() int { return a.t }
 
@@ -343,29 +297,29 @@ func (a *ShardedAdamW) StepCount() int { return a.t }
 func (a *ShardedAdamW) SetStep(t int) { a.t = t }
 
 // CopyMoments writes the shard's Adam moments into dstM and dstV, for
-// checkpointing. Destinations shorter than Hi−Lo receive a prefix —
-// how callers strip the zero-valued pad tail of the final shard.
+// checkpointing. Destinations shorter than the owned length receive a
+// prefix.
 func (a *ShardedAdamW) CopyMoments(dstM, dstV []float32) {
 	copy(dstM, a.m)
 	copy(dstV, a.v)
 }
 
 // RestoreMoments loads the shard's Adam moments from srcM and srcV,
-// resuming from a checkpoint. Sources shorter than Hi−Lo fill a prefix
-// and leave the rest untouched (the pad tail stays zero).
+// resuming from a checkpoint. Sources shorter than the owned length
+// fill a prefix and leave the rest untouched.
 func (a *ShardedAdamW) RestoreMoments(srcM, srcV []float32) {
 	copy(a.m, srcM)
 	copy(a.v, srcV)
 }
 
-// Step applies one AdamW update to the shard: w and g are the owned
-// slices of the flat weight and (already averaged) flat gradient in
-// shard-local order — the [Lo, Hi) views for a contiguous shard, or
-// the GatherSpans concatenations for bucket-granular ownership.
+// Step applies one AdamW update to the owned spans: w and g are the
+// flat weight and (already averaged) flat gradient in shard-local
+// order — the flat buffers themselves when the spans tile
+// [0, padded), the GatherSpans concatenations otherwise.
 func (a *ShardedAdamW) Step(lr float64, w, g []float32) {
-	if len(w) != a.n || len(g) != a.n {
+	if len(w) != len(a.m) || len(g) != len(a.m) {
 		panic(fmt.Sprintf("opt: sharded adamw got %d weights / %d grads for shard of %d",
-			len(w), len(g), a.n))
+			len(w), len(g), len(a.m)))
 	}
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))

@@ -48,11 +48,14 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 
 	PackGrads(flat, ps)
-	g0 := ps[0].Grad.Data[0]
-	ps[0].Grad.Data[0] = 1234
-	UnpackGrads(ps, flat)
-	if ps[0].Grad.Data[0] != g0 {
-		t.Fatalf("grad round trip differs")
+	off := 0
+	for _, p := range ps {
+		for i, g := range p.Grad.Data {
+			if flat[off+i] != g {
+				t.Fatalf("packed gradient differs at %d", off+i)
+			}
+		}
+		off += p.NumEl()
 	}
 }
 
@@ -67,12 +70,19 @@ func TestPadTo(t *testing.T) {
 	}
 }
 
-// TestShardedAdamWMatchesAdamW drives AdamW and a set of ShardedAdamW
-// instances covering the flat space with identical gradients and checks
-// the resulting weights are bit-identical — the ZeRO-1 invariant that
-// sharding optimizer state must not change the update.
+// TestShardedAdamWMatchesAdamW drives AdamW and a set of single-span
+// ShardedAdamW instances covering the flat space with identical
+// gradients and checks the resulting weights are bit-identical — the
+// ZeRO-1 invariant that sharding optimizer state must not change the
+// update. World 1 is the replicated optimizer: one span over the whole
+// padded space.
 func TestShardedAdamWMatchesAdamW(t *testing.T) {
-	const world = 4
+	for _, world := range []int{1, 4} {
+		testShardedAdamWMatchesAdamW(t, world)
+	}
+}
+
+func testShardedAdamWMatchesAdamW(t *testing.T, world int) {
 	const steps = 5
 	const wd = 0.05
 
@@ -89,7 +99,7 @@ func TestShardedAdamWMatchesAdamW(t *testing.T) {
 	shardLen := padded / world
 	var opts []*ShardedAdamW
 	for k := 0; k < world; k++ {
-		opts = append(opts, NewShardedAdamW(shard, wd, k*shardLen, (k+1)*shardLen))
+		opts = append(opts, NewShardedAdamWSpans(shard, wd, []Span{{k * shardLen, (k + 1) * shardLen}}))
 	}
 
 	r := rng.New(23)
@@ -112,15 +122,15 @@ func TestShardedAdamWMatchesAdamW(t *testing.T) {
 	for i := range ref {
 		for j := range ref[i].Value.Data {
 			if ref[i].Value.Data[j] != shard[i].Value.Data[j] {
-				t.Fatalf("param %d elem %d: AdamW %v, sharded %v",
-					i, j, ref[i].Value.Data[j], shard[i].Value.Data[j])
+				t.Fatalf("world %d: param %d elem %d: AdamW %v, sharded %v",
+					world, i, j, ref[i].Value.Data[j], shard[i].Value.Data[j])
 			}
 		}
 	}
 	// Padding must have stayed zero.
 	for i := dim; i < padded; i++ {
 		if flatW[i] != 0 {
-			t.Fatalf("pad element %d became %v", i, flatW[i])
+			t.Fatalf("world %d: pad element %d became %v", world, i, flatW[i])
 		}
 	}
 }
@@ -217,10 +227,10 @@ func TestShardedAdamWSpansMatchesContiguous(t *testing.T) {
 	PackGrads(flatG, ps)
 
 	// Reference: full-range sharded AdamW (proven equal to AdamW by
-	// TestShardedAdamWMatchesFull-style coverage elsewhere).
+	// TestShardedAdamWMatchesAdamW).
 	refW := append([]float32(nil), flatW...)
 	refG := append([]float32(nil), flatG...)
-	ref := NewShardedAdamW(ps, 0.05, 0, padded)
+	ref := NewShardedAdamWSpans(ps, 0.05, []Span{{0, padded}})
 	for step := 0; step < 3; step++ {
 		ref.Step(1e-2, refW, refG)
 	}

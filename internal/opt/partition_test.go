@@ -76,7 +76,7 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Ranges tile [0, Padded) exactly, and Shard views match them.
+		// Ranges tile [0, Padded) exactly.
 		next := 0
 		assembled := make([]float32, p.Padded)
 		for i := 0; i < p.Shards; i++ {
@@ -85,7 +85,7 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 				t.Fatalf("shard %d range [%d,%d) does not tile (next=%d)", i, lo, hi, next)
 			}
 			next = hi
-			copy(assembled[lo:hi], p.Shard(flat, i))
+			copy(assembled[lo:hi], flat[lo:hi])
 		}
 		if next != p.Padded {
 			t.Fatalf("ranges cover %d of %d", next, p.Padded)
@@ -109,7 +109,7 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 		if p.Shards > 1 {
 			scrubbed := append([]float32(nil), flat...)
 			lo, hi := p.Range(1)
-			ScrubOutside(scrubbed, lo, hi)
+			ScrubOutsideSpans(scrubbed, []Span{{lo, hi}})
 			for i, v := range scrubbed {
 				if i >= lo && i < hi {
 					if v != flat[i] {
@@ -153,8 +153,7 @@ func TestPartitionPanics(t *testing.T) {
 		"align below shards": func() { NewPartition(8, 4, 2) },
 		"align not multiple": func() { NewPartition(8, 4, 6) },
 		"range out of shard": func() { NewPartition(8, 2, 2).Range(2) },
-		"shard bad buffer":   func() { NewPartition(8, 2, 2).Shard(make([]float32, 4), 0) },
-		"scrub bad range":    func() { ScrubOutside(make([]float32, 4), 2, 8) },
+		"scrub bad range":    func() { ScrubOutsideSpans(make([]float32, 4), []Span{{2, 8}}) },
 	} {
 		func() {
 			defer func() {

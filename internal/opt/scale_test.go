@@ -111,7 +111,10 @@ func TestAdamWMomentsRoundTrip(t *testing.T) {
 		grads[i] = g
 	}
 	step := func(a *AdamW, params []*nn.Param, g []float32) {
-		UnpackGrads(params, g)
+		off := 0
+		for _, p := range params {
+			off += copy(p.Grad.Data, g[off:])
+		}
 		a.Step(0.01)
 	}
 
@@ -174,17 +177,18 @@ func TestShardedAdamWMomentsRoundTrip(t *testing.T) {
 		}
 	}
 	wRef := make([]float32, hi-lo)
-	aRef := NewShardedAdamW(params, 0.05, lo, hi)
+	own := []Span{{lo, hi}}
+	aRef := NewShardedAdamWSpans(params, 0.05, own)
 	run(aRef, wRef, grads)
 
 	w1 := make([]float32, hi-lo)
-	a1 := NewShardedAdamW(params, 0.05, lo, hi)
+	a1 := NewShardedAdamWSpans(params, 0.05, own)
 	run(a1, w1, grads[:2])
 	m := make([]float32, hi-lo)
 	v := make([]float32, hi-lo)
 	a1.CopyMoments(m, v)
 
-	a2 := NewShardedAdamW(params, 0.05, lo, hi)
+	a2 := NewShardedAdamWSpans(params, 0.05, own)
 	a2.RestoreMoments(m, v)
 	a2.SetStep(a1.StepCount())
 	run(a2, w1, grads[2:])

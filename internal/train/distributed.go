@@ -1,6 +1,7 @@
 package train
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -296,6 +297,17 @@ func checkConfig(cfg DistConfig) (plan fsdp.Plan, mode execMode, group int, err 
 	return plan, mode, group, nil
 }
 
+// ErrNonFiniteGrad is what an FP32 run fails with when a reduced
+// gradient holds a NaN or ±Inf: applying it would silently corrupt the
+// weights. The error is wrapped with the optimizer step index. BF16
+// runs do not fail: their loss scaler skips such steps and counts them
+// (DistResult.SkippedSteps).
+var ErrNonFiniteGrad = errors.New("train: non-finite gradient")
+
+// errResumeShape rejects a resume state whose master or moment tensors
+// do not have the model's flat length.
+var errResumeShape = errors.New("train: resume state does not fit the model")
+
 // PretrainDistributed runs MAE pretraining SPMD across cfg.Ranks
 // in-process ranks: seed-identical replicas synchronized by a parameter
 // broadcast at init, a rank-sharded sampler over the same global batch
@@ -304,6 +316,11 @@ func checkConfig(cfg DistConfig) (plan fsdp.Plan, mode execMode, group int, err 
 // per cfg.Plan. The returned model is rank 0's replica (all replicas
 // are bit-identical after every step — in the hybrid strategies the
 // replica groups' all-reduce makes this hold across shard groups too).
+// Every strategy and precision updates with one opt.ShardedAdamW over
+// the flat spans the rank owns: the whole padded space when
+// replicated, its chunk of every gradient bucket when sharded. An FP32
+// run whose reduced gradient holds a NaN or ±Inf fails with
+// ErrNonFiniteGrad.
 //
 // Under Precision: BF16 the same schedules run in the executed
 // mixed-precision mode: the model computes on bf16-valued working
@@ -414,8 +431,9 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 			st.OptM = make([]float32, dim)
 			st.OptV = make([]float32, dim)
 		})
-		if resume != nil && len(resume.Master) != dim {
-			return fmt.Errorf("train: resume state has %d master values, model has %d", len(resume.Master), dim)
+		if resume != nil && (len(resume.Master) != dim || len(resume.OptM) != dim || len(resume.OptV) != dim) {
+			return fmt.Errorf("%w: %d master / %d + %d moment values, model has %d",
+				errResumeShape, len(resume.Master), len(resume.OptM), len(resume.OptV), dim)
 		}
 
 		// Shard layout and communicators. The replicated mode shards
@@ -423,18 +441,16 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 		// chunks; the sharded modes partition the padded space across
 		// the shard group, aligned so HYBRID's replica-group ring over
 		// one shard also chunks uniformly.
+		sharded := mode != execReplicated
 		var (
-			gradGroup *dist.Group // gradient-bucket collectives (world for replicated, shard group otherwise)
-			replGroup *dist.Group // HYBRID gradient all-reduce across shard groups
+			gradGroup = world.Group() // gradient-bucket collectives (the shard group when sharded)
+			replGroup *dist.Group     // HYBRID gradient all-reduce across shard groups
 		)
 		part, err := partitionFor(plan, n, dim)
 		if err != nil {
 			return err
 		}
-		switch mode {
-		case execReplicated:
-			gradGroup = world.Group()
-		default:
+		if sharded {
 			repl := n / group
 			// Shard groups are consecutive rank blocks (the paper's
 			// intra-node placement); replica groups stride across them.
@@ -491,102 +507,69 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 			return err
 		}
 		// ownSpans is what this rank's optimizer/checkpoint state
-		// covers: its chunk of every bucket (sharded modes), or the
-		// whole padded space (replicated BF16's full-range master).
-		ownSpans := eng.spans
-		ownLen := eng.shardLen
-		if mode == execReplicated {
-			ownSpans = []opt.Span{{Lo: 0, Hi: padded}}
-			ownLen = padded
-		}
+		// covers: its chunk of every bucket (sharded modes), or every
+		// bucket whole — the padded space in flat order (replicated).
+		ownSpans, ownLen := eng.spans, eng.shardLen
 
-		var (
-			optim    *opt.AdamW        // FP32 replicated
-			shardOpt *opt.ShardedAdamW // everything else
-			flatW    []float32         // assembled working copy (sharded and BF16 modes)
-			master   []float32         // BF16: fp32 master for the owned spans (shard-local)
-			gBuf     []float32         // sharded: contiguous reduced-gradient shard
-			wBuf     []float32         // sharded FP32: contiguous weight shard scratch
-			scaler   *opt.LossScaler
-		)
+		// One optimizer for every strategy × precision: AdamW over the
+		// owned spans. flatW is the assembled working copy the model
+		// computes on (bf16-valued under BF16, so every rank computes on
+		// identical weights). w is the rank's fp32 master of its owned
+		// spans in shard-local order — flatW itself for replicated FP32,
+		// a separate buffer otherwise, published back into flatW after
+		// each update. g is the reduced gradient over the same spans:
+		// flatG itself when replicated, gathered from it when sharded.
+		optim := opt.NewShardedAdamWSpans(params, cfg.WeightDecay, ownSpans)
+		flatW := make([]float32, padded)
+		opt.PackValues(flatW, params)
+		ownMaster := sharded || bf16
+		w, g := flatW, flatG
+		if ownMaster {
+			w = make([]float32, ownLen)
+			opt.GatherSpans(w, flatW, ownSpans)
+		}
+		if sharded {
+			g = make([]float32, ownLen)
+		}
+		var scaler *opt.LossScaler
 		if bf16 {
+			tensor.RoundBF16(flatW, flatW)
+			opt.UnpackValues(params, flatW)
 			scaler = opt.NewLossScaler(cfg.LossScale.Init, cfg.LossScale.Growth,
 				cfg.LossScale.Backoff, cfg.LossScale.Interval)
 			if resume != nil {
 				scaler.Restore(resume.LossScale, resume.ScaleGoodSteps)
 			}
 		}
-		switch {
-		case mode == execReplicated && !bf16:
-			optim = opt.NewAdamW(params, cfg.WeightDecay)
-		case mode == execReplicated && bf16:
-			// Full-range ShardedAdamW over a flat fp32 master: the same
-			// adamwApply kernel as AdamW, but updating the master copy
-			// while params hold the bf16 working weights.
-			master = make([]float32, padded)
-			opt.PackValues(master, params)
-			flatW = make([]float32, padded)
-			shardOpt = opt.NewShardedAdamW(params, cfg.WeightDecay, 0, padded)
-			tensor.RoundBF16(flatW, master)
-			opt.UnpackValues(params, flatW)
-		default:
-			flatW = make([]float32, padded)
-			opt.PackValues(flatW, params)
-			shardOpt = opt.NewShardedAdamWSpans(params, cfg.WeightDecay, ownSpans)
-			gBuf = make([]float32, ownLen)
-			wBuf = make([]float32, ownLen)
-			if bf16 {
-				// The rank's fp32 master is its owned spans; the whole
-				// working copy (own spans included) is bf16-valued so
-				// every rank computes on identical weights.
-				master = make([]float32, ownLen)
-				opt.GatherSpans(master, flatW, ownSpans)
-				tensor.RoundBF16(flatW, flatW)
-				opt.UnpackValues(params, flatW)
-			}
-		}
-		if resume != nil && shardOpt != nil {
+		if resume != nil {
 			// The unpadded checkpoint moments restore clipped at dim;
 			// the pad tail of the freshly allocated moments stays zero.
 			mLoc := make([]float32, ownLen)
 			vLoc := make([]float32, ownLen)
 			gatherSpansClipped(mLoc, resume.OptM, ownSpans, dim)
 			gatherSpansClipped(vLoc, resume.OptV, ownSpans, dim)
-			shardOpt.RestoreMoments(mLoc, vLoc)
-			shardOpt.SetStep(resume.OptStep)
-		} else if resume != nil {
-			optim.ImportMoments(resume.OptM, resume.OptV)
+			optim.RestoreMoments(mLoc, vLoc)
 			optim.SetStep(resume.OptStep)
 		}
 
 		// captureState writes this rank's share of the canonical flat
-		// training state into st: rank 0 alone for the replicated modes,
-		// the first shard block's disjoint clipped shards otherwise. The
-		// caller separates these writes from rank 0's read (end of run:
-		// Run's join; mid-run checkpoints: an explicit barrier).
+		// training state into st: the ranks of the first shard block
+		// hold disjoint owned spans covering the whole flat space (for
+		// the replicated modes that block is rank 0 alone). The caller
+		// separates these writes from rank 0's read (end of run: Run's
+		// join; mid-run checkpoints: an explicit barrier).
 		captureState := func() {
-			switch {
-			case optim != nil: // FP32 replicated
-				if r.ID() == 0 {
-					opt.PackValues(st.Master, params)
-					optim.ExportMoments(st.OptM, st.OptV)
-					st.OptStep = optim.StepCount()
-				}
-			case r.ID() < part.Shards:
-				if bf16 {
-					scatterSpansClipped(st.Master, master, ownSpans, dim)
-				} else {
-					gatherSpansClipped(wBuf, flatW, ownSpans, dim)
-					scatterSpansClipped(st.Master, wBuf, ownSpans, dim)
-				}
-				mLoc := make([]float32, ownLen)
-				vLoc := make([]float32, ownLen)
-				shardOpt.CopyMoments(mLoc, vLoc)
-				scatterSpansClipped(st.OptM, mLoc, ownSpans, dim)
-				scatterSpansClipped(st.OptV, vLoc, ownSpans, dim)
-				if r.ID() == 0 {
-					st.OptStep = shardOpt.StepCount()
-				}
+			if r.ID() >= part.Shards {
+				return
+			}
+			scatterSpansClipped(st.Master, w, ownSpans, dim)
+			mLoc := make([]float32, ownLen)
+			vLoc := make([]float32, ownLen)
+			optim.CopyMoments(mLoc, vLoc)
+			scatterSpansClipped(st.OptM, mLoc, ownSpans, dim)
+			scatterSpansClipped(st.OptV, vLoc, ownSpans, dim)
+			if r.ID() == 0 {
+				st.OptStep = optim.StepCount()
 			}
 		}
 		// stampState fills the scalar fields only rank 0 owns: the
@@ -672,108 +655,84 @@ func PretrainDistributed(cfg DistConfig, ds *geodata.Dataset) (*DistResult, erro
 				// BF16 additionally multiplies in the loss scale before
 				// gradients hit the narrow wire.
 				gScale := invN
-				if accum > 1 {
-					gScale *= 1 / float32(accum)
-				}
-				scaleGrads := n > 1 || accum > 1
 				var invScale float32
 				if bf16 {
 					// The scale the gradients will carry; Update may
 					// move scaler.Scale before the unscale happens.
 					invScale = 1 / float32(scaler.Scale)
 					gScale = float32(scaler.Scale) * invN
-					if accum > 1 {
-						gScale *= 1 / float32(accum)
-					}
-					scaleGrads = true
 				}
-				eng.beginStep(gScale, scaleGrads)
+				if accum > 1 {
+					gScale *= 1 / float32(accum)
+				}
+				eng.beginStep(gScale, bf16 || n > 1 || accum > 1)
 				model.BackwardStepLayers(eng.onSegment)
 				loader.Recycle(batch)
 				eng.finishBackward()
 
-				lr := sched.LR(step)
-				switch {
-				case mode == execReplicated && !bf16:
-					opt.UnpackGrads(params, flatG)
-					if cfg.ClipNorm > 0 {
-						nn.ClipGradNorm(params, cfg.ClipNorm)
-					}
-					optim.Step(lr)
-				case mode == execReplicated && bf16:
-					// No collective needed for the verdict here: the
-					// bf16 all-reduce leaves every rank with
-					// bit-identical gradients, so the local check is
-					// already the global one.
-					if !scaler.Update(opt.HasNonFinite(flatG)) {
-						tensor.Scale(flatG, flatG, invScale)
-						if cfg.ClipNorm > 0 {
-							if norm := math.Sqrt(sumSq(flatG[:dim])); norm > cfg.ClipNorm && norm > 0 {
-								tensor.Scale(flatG, flatG, float32(cfg.ClipNorm/norm))
-							}
-						}
-						shardOpt.Step(lr, master, flatG)
-						tensor.RoundBF16(flatW, master)
-						opt.UnpackValues(params, flatW)
-					}
-				case !bf16: // sharded FP32
-					eng.gatherShard(gBuf)
-					if cfg.ClipNorm > 0 {
-						// Global-norm clipping over the sharded
-						// gradient: the shard group's members hold
-						// disjoint spans covering the whole flat
-						// space, so their sums of squares all-reduce to
-						// the same total the single-rank clip computes.
-						var norm float64
-						timer.comm(func() {
-							norm = math.Sqrt(gradGroup.AllReduceScalar(r, sumSq(gBuf)))
-						})
-						if norm > cfg.ClipNorm && norm > 0 {
-							tensor.Scale(gBuf, gBuf, float32(cfg.ClipNorm/norm))
-						}
-					}
-					opt.GatherSpans(wBuf, flatW, ownSpans)
-					shardOpt.Step(lr, wBuf, gBuf)
-					opt.ScatterSpans(flatW, wBuf, ownSpans)
-					// Re-assemble the updated parameters. For the
-					// resharded strategies this all-gather is the next
-					// forward's parameter gather executed eagerly (the
-					// executed analog of FSDP's prefetching): per-step
-					// volumes are unchanged and every step ends with
-					// bit-identical assembled replicas.
-					eng.allGatherParams(flatW)
-					opt.UnpackValues(params, flatW)
-				default: // sharded BF16
-					eng.gatherShard(gBuf)
-					var overflow bool
+				// The update. Across strategies and precisions it
+				// differs only in where g and w live (see above), in
+				// the sharded modes' all-reduced verdict and clip norm
+				// and parameter all-gather, and in BF16's loss scaler.
+				if sharded {
+					eng.gatherShard(g)
+				}
+				overflow := opt.HasNonFinite(g)
+				if overflow && !bf16 {
+					// No collective: this rank's error aborts its peers
+					// through World.Run.
+					return fmt.Errorf("%w at optimizer step %d", ErrNonFiniteGrad, step)
+				}
+				if bf16 && sharded {
+					// Ranks hold different gradient spans, so the skip
+					// verdict is all-reduced. Replicated, the all-reduce
+					// already left every rank bit-identical gradients.
 					timer.comm(func() {
-						overflow = world.Group().AllReduceScalar(r, boolFlag(opt.HasNonFinite(gBuf))) > 0
+						overflow = world.Group().AllReduceScalar(r, boolFlag(overflow)) > 0
 					})
-					if !scaler.Update(overflow) {
-						tensor.Scale(gBuf, gBuf, invScale)
-						if cfg.ClipNorm > 0 {
-							var norm float64
-							timer.comm(func() {
-								norm = math.Sqrt(gradGroup.AllReduceScalar(r, sumSq(gBuf)))
-							})
-							if norm > cfg.ClipNorm && norm > 0 {
-								tensor.Scale(gBuf, gBuf, float32(cfg.ClipNorm/norm))
-							}
+				}
+				if !bf16 || !scaler.Update(overflow) {
+					if bf16 {
+						tensor.Scale(g, g, invScale)
+					}
+					if cfg.ClipNorm > 0 {
+						// Global-norm clipping: the shard group's members
+						// hold disjoint spans covering the whole flat
+						// space, so their sums of squares all-reduce to
+						// the total a single rank computes.
+						ss := sumSq(g)
+						if sharded {
+							timer.comm(func() { ss = gradGroup.AllReduceScalar(r, ss) })
 						}
-						shardOpt.Step(lr, master, gBuf)
+						if norm := math.Sqrt(ss); norm > cfg.ClipNorm && norm > 0 {
+							tensor.Scale(g, g, float32(cfg.ClipNorm/norm))
+						}
+					}
+					optim.Step(sched.LR(step), w, g)
+					if ownMaster {
 						off := 0
 						for _, sp := range ownSpans {
-							tensor.RoundBF16(flatW[sp.Lo:sp.Hi], master[off:off+sp.Len()])
+							dst, src := flatW[sp.Lo:sp.Hi], w[off:off+sp.Len()]
+							if bf16 {
+								tensor.RoundBF16(dst, src)
+							} else {
+								copy(dst, src)
+							}
 							off += sp.Len()
 						}
 					}
-					// The parameter all-gather runs even on skipped
-					// steps — it is idempotent, the working copy being
-					// unchanged — so every optimizer step moves exactly
-					// the wire bytes fsdp.TrafficPerStep charges.
-					eng.allGatherParams(flatW)
-					opt.UnpackValues(params, flatW)
 				}
+				if sharded {
+					// Re-assemble the updated parameters. For the
+					// resharded strategies this all-gather is the next
+					// forward's parameter gather executed eagerly (the
+					// executed analog of FSDP's prefetching). It runs
+					// even on skipped steps, where it is idempotent, so
+					// every optimizer step moves exactly the wire bytes
+					// fsdp.TrafficPerStep charges.
+					eng.allGatherParams(flatW)
+				}
+				opt.UnpackValues(params, flatW)
 
 				var gLoss float64
 				timer.comm(func() {

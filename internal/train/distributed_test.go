@@ -37,7 +37,7 @@ func relClose(a, b, tol float64) bool {
 // within 1e-4.
 func TestDistributedMatchesSingleRank(t *testing.T) {
 	dcfg := tinyDistConfig(4, fsdp.DefaultDDP())
-	ref := referencePretrain(dcfg.PretrainConfig, tinyDataset(64))
+	ref, _ := referencePretrain(dcfg.PretrainConfig, tinyDataset(64))
 	got, err := PretrainDistributed(dcfg, tinyDataset(64))
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestDistTrafficMatchesSimulator(t *testing.T) {
 // PretrainDistributed and through its Pretrain wrapper alike.
 func TestSingleRankDistributedMatchesPretrain(t *testing.T) {
 	dcfg := tinyDistConfig(1, fsdp.DefaultDDP())
-	ref := referencePretrain(dcfg.PretrainConfig, tinyDataset(32))
+	ref, refState := referencePretrain(dcfg.PretrainConfig, tinyDataset(32))
 	got, err := PretrainDistributed(dcfg, tinyDataset(32))
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +186,28 @@ func TestSingleRankDistributedMatchesPretrain(t *testing.T) {
 	}
 	if got.Traffic.Total() != 0 || got.Comm.AllReduce.MeasuredWireBytes != 0 {
 		t.Fatalf("1-rank world moved bytes: %+v", got.Traffic)
+	}
+	// The captured training state: the flat optimizer's master weights,
+	// moments and step count are the reference AdamW's, bit for bit.
+	if got.State.OptStep != refState.OptStep {
+		t.Fatalf("state OptStep %d, reference AdamW %d", got.State.OptStep, refState.OptStep)
+	}
+	for _, c := range []struct {
+		name      string
+		have, ref []float32
+	}{
+		{"Master", got.State.Master, refState.Master},
+		{"OptM", got.State.OptM, refState.OptM},
+		{"OptV", got.State.OptV, refState.OptV},
+	} {
+		if len(c.have) != len(c.ref) {
+			t.Fatalf("state %s has %d values, reference %d", c.name, len(c.have), len(c.ref))
+		}
+		for j := range c.ref {
+			if math.Float32bits(c.have[j]) != math.Float32bits(c.ref[j]) {
+				t.Fatalf("state %s[%d] is %v, reference AdamW %v", c.name, j, c.have[j], c.ref[j])
+			}
+		}
 	}
 }
 

@@ -26,8 +26,7 @@ import (
 // gradBucket is one wire bucket of the padded flat gradient.
 type gradBucket struct {
 	span  opt.Span // flat range [Lo, Hi), a multiple of the world size long
-	piece opt.Span // this rank's owned chunk of the bucket (sharded modes)
-	off   int      // piece offset in shard-local coordinates
+	piece opt.Span // this rank's owned part: its chunk when sharded, the whole span when replicated
 }
 
 // makeBuckets tiles [0, padded) with spans of bucketElems (the last
@@ -96,7 +95,7 @@ type syncEngine struct {
 	replGroup *dist.Group // HYBRID replica-dimension all-reduce (nil otherwise)
 
 	buckets  []gradBucket
-	spans    []opt.Span // owned pieces, ascending (sharded modes)
+	spans    []opt.Span // owned pieces, ascending (tiling [0, padded) when replicated)
 	shardLen int
 
 	params []*nn.Param
@@ -132,16 +131,15 @@ func newSyncEngine(r *dist.Rank, model *mae.Model, params []*nn.Param,
 		params: params, flatG: flatG, wire: wire, timer: timer,
 	}
 	for _, sp := range makeBuckets(padded, bucketElems) {
-		b := gradBucket{span: sp}
+		piece := sp
 		if mode != execReplicated {
 			cl := sp.Len() / group
 			idx := gradGroup.RankOf(r)
-			b.piece = opt.Span{Lo: sp.Lo + idx*cl, Hi: sp.Lo + (idx+1)*cl}
-			b.off = e.shardLen
-			e.shardLen += cl
-			e.spans = append(e.spans, b.piece)
+			piece = opt.Span{Lo: sp.Lo + idx*cl, Hi: sp.Lo + (idx+1)*cl}
 		}
-		e.buckets = append(e.buckets, b)
+		e.buckets = append(e.buckets, gradBucket{span: sp, piece: piece})
+		e.spans = append(e.spans, piece)
+		e.shardLen += piece.Len()
 	}
 
 	// Map backward segments onto the flat space: completion events walk

@@ -66,8 +66,9 @@ type PretrainResult struct {
 // Pretrain runs MAE pretraining over the dataset's training split on
 // one rank and returns the model plus loss curves. It is
 // PretrainDistributed over a one-rank world with the default DDP plan:
-// the collectives are no-ops, the replicated fp32 optimizer is
-// opt.AdamW over the parameters with nn.ClipGradNorm, and cfg.Log
+// the collectives are no-ops, the optimizer is the loop's one
+// opt.ShardedAdamW over the single span covering the whole flat space,
+// with the global-norm clip over the flat gradient, and cfg.Log
 // receives one line per epoch.
 func Pretrain(cfg PretrainConfig, ds *geodata.Dataset) (*PretrainResult, error) {
 	res, err := PretrainDistributed(DistConfig{PretrainConfig: cfg, Ranks: 1}, ds)

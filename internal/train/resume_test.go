@@ -2,6 +2,7 @@ package train
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -405,4 +406,103 @@ func TestResumeWithWorkersBitwise(t *testing.T) {
 			t.Fatalf("resumed parameters differ at flat element %d", j)
 		}
 	}
+}
+
+// interruptedState runs cfg's first epoch of two and returns the
+// captured state, ready to resume the second.
+func interruptedState(t *testing.T, cfg DistConfig) *TrainState {
+	t.Helper()
+	cfg.Epochs = 2
+	cfg.StopAfterEpoch = 1
+	res, err := PretrainDistributed(cfg, tinyDataset(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.State
+}
+
+// TestNonFiniteGradFailsFP32: an FP32 run whose reduced gradient turns
+// NaN stops with ErrNonFiniteGrad instead of applying it, under the
+// replicated and both sharded schedules. The NaN enters through a
+// resumed master weight, so every rank's forward sees it.
+func TestNonFiniteGradFailsFP32(t *testing.T) {
+	for _, plan := range []fsdp.Plan{
+		fsdp.DefaultDDP(),
+		fsdp.BestPractice(fsdp.ShardGradOp, 0),
+		fsdp.BestPractice(fsdp.FullShard, 0),
+	} {
+		cfg := tinyDistConfig(2, plan)
+		cfg.Epochs = 2
+		poisoned := interruptedState(t, cfg).clone()
+		poisoned.Master[0] = float32(math.NaN())
+		cfg.Resume = poisoned
+		res, err := PretrainDistributed(cfg, tinyDataset(32))
+		if !errors.Is(err, ErrNonFiniteGrad) {
+			loss := math.NaN()
+			if res != nil {
+				loss = res.LossCurve.Last()
+			}
+			t.Errorf("%s: NaN gradient gave err %v (final loss %v), want ErrNonFiniteGrad", plan.Name(), err, loss)
+		}
+	}
+}
+
+// TestResumeRejectsShortMoments: a resume state whose Adam moments are
+// shorter than the model's flat length is rejected by name — both a
+// freshly allocated short slice (which would otherwise panic inside a
+// rank) and a short re-slice whose capacity still covers the model
+// (which would otherwise be accepted silently).
+func TestResumeRejectsShortMoments(t *testing.T) {
+	for _, plan := range []fsdp.Plan{fsdp.DefaultDDP(), fsdp.BestPractice(fsdp.FullShard, 0)} {
+		cfg := tinyDistConfig(2, plan)
+		cfg.Epochs = 2
+		st := interruptedState(t, cfg)
+		half := len(st.OptV) / 2
+		for name, short := range map[string][]float32{
+			"fresh":    make([]float32, half),
+			"resliced": st.OptV[:half],
+		} {
+			bad := *st
+			bad.OptV = short
+			cfg.Resume = &bad
+			if _, err := PretrainDistributed(cfg, tinyDataset(32)); !errors.Is(err, errResumeShape) {
+				t.Errorf("%s, %s short OptV: err %v, want errResumeShape", plan.Name(), name, err)
+			}
+		}
+	}
+}
+
+// FuzzLoadTrainState: any bytes either fail to load or give a state
+// whose moments match the master length — never a panic. Seeded with a
+// captured state, a hand-built one, their truncations and garbage.
+func FuzzLoadTrainState(f *testing.F) {
+	cfg := tinyDistConfig(1, fsdp.DefaultDDP())
+	cfg.Epochs = 2
+	cfg.StopAfterEpoch = 1
+	res, err := PretrainDistributed(cfg, tinyDataset(16))
+	if err != nil {
+		f.Fatal(err)
+	}
+	small := &TrainState{Step: 3, Epoch: 1, World: 2, Strategy: "FULL_SHARD",
+		Master: []float32{1, 2, 3}, OptM: []float32{4, 5, 6}, OptV: []float32{7, 8, 9}, OptStep: 3}
+	for _, st := range []*TrainState{res.State, small} {
+		var buf bytes.Buffer
+		if err := SaveTrainState(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		blob := buf.Bytes()
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+	}
+	f.Add([]byte("not a train state"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := LoadTrainState(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(st.OptM) != len(st.Master) || len(st.OptV) != len(st.Master) {
+			t.Fatalf("loaded state with %d master, %d/%d moment values", len(st.Master), len(st.OptM), len(st.OptV))
+		}
+	})
 }

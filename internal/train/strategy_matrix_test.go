@@ -34,7 +34,7 @@ func matrixPlans() []fsdp.Plan {
 func TestStrategyMatrix(t *testing.T) {
 	base := tinyDistConfig(1, fsdp.DefaultDDP())
 	base.Epochs = 2
-	ref := referencePretrain(base.PretrainConfig, tinyDataset(32))
+	ref, _ := referencePretrain(base.PretrainConfig, tinyDataset(32))
 	for _, world := range []int{2, 4, 8} {
 		for _, plan := range matrixPlans() {
 			if plan.Strategy == fsdp.HybridShard && world%plan.GroupSize != 0 {
@@ -126,7 +126,7 @@ func TestStrategyMatrixOverlapAccum(t *testing.T) {
 		base.Epochs = 2
 		base.MaxStepsPerEpoch = 2
 		base.BatchSize = 8 * accum
-		refs[accum] = referencePretrain(base.PretrainConfig, tinyDataset(64))
+		refs[accum], _ = referencePretrain(base.PretrainConfig, tinyDataset(64))
 	}
 
 	run := func(plan fsdp.Plan, prec Precision, accum int, overlap bool) *DistResult {

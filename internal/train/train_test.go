@@ -29,8 +29,9 @@ func tinyDataset(count int) *geodata.Dataset {
 // Step, ClipGradNorm and AdamW.Step under the cosine schedule, over the
 // unsharded loader — kept as an oracle that shares none of
 // PretrainDistributed's flat-buffer, collective or sharding machinery.
-// It fills Model, LossCurve and Steps.
-func referencePretrain(cfg PretrainConfig, ds *geodata.Dataset) *PretrainResult {
+// It fills Model, LossCurve and Steps, and returns the end-of-run
+// Master, OptM, OptV and OptStep that AdamW exports.
+func referencePretrain(cfg PretrainConfig, ds *geodata.Dataset) (*PretrainResult, *TrainState) {
 	model := mae.New(cfg.MAE, rng.New(cfg.Seed))
 	params := model.Params()
 	optim := opt.NewAdamW(params, cfg.WeightDecay)
@@ -61,7 +62,12 @@ func referencePretrain(cfg PretrainConfig, ds *geodata.Dataset) *PretrainResult 
 			res.Steps++
 		}
 	}
-	return res
+	dim := opt.FlatDim(params)
+	st := &TrainState{Master: make([]float32, dim), OptM: make([]float32, dim), OptV: make([]float32, dim)}
+	opt.PackValues(st.Master, params)
+	optim.ExportMoments(st.OptM, st.OptV)
+	st.OptStep = optim.StepCount()
+	return res, st
 }
 
 func TestPretrainLossDecreases(t *testing.T) {
